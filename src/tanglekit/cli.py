@@ -2,9 +2,9 @@
 
 Subcommands:
 
-    count tanglegrams --n N [--method direct|recurrence|mu]
+    count tanglegrams --n N [--method recurrence|direct|mu]
     count trees       --n N [--method direct|oracle]
-    count chains      --k K --n N [--method direct|recurrence]
+    count chains      --k K --n N [--method recurrence|direct]
     sample tanglegram|tree|chain --n N [--k K] --seed S --count C [--format json|text]
     asym  --n N --terms T --family a|b [--precision BITS]
     const f-quarter [--precision BITS]
@@ -15,8 +15,9 @@ Subcommands:
 
 Counts print as full decimal integers.  Samples print one object per
 line; JSON keys are emitted in a fixed order, and a fixed seed gives
-byte-identical output across runs.  Exit codes: 0 success, 2 usage
-error, 3 cap exceeded.
+byte-identical output across runs.  The first method listed is the
+default.  Exit codes: 0 success, 2 usage error or rejected argument,
+3 cap exceeded.
 """
 
 import argparse
@@ -48,7 +49,7 @@ def _build_parser():
     p.add_argument("what", choices=["tanglegrams", "trees", "chains"])
     p.add_argument("--n", type=_positive, required=True)
     p.add_argument("--k", type=_positive, default=None)
-    p.add_argument("--method", default="direct",
+    p.add_argument("--method", default=None,
                    choices=["direct", "recurrence", "mu", "oracle"])
 
     p = sub.add_parser("sample", help="uniform random objects")
@@ -89,31 +90,54 @@ def _build_parser():
     return ap
 
 
+# Default count route per object: the level recurrence where it exists,
+# since it scales to n in the thousands; direct stays as a cross-check.
+_DEFAULT_METHOD = {"tanglegrams": "recurrence", "trees": "direct", "chains": "recurrence"}
+
+
+def print_count(value):
+    """Print an exact count in full decimal, however many digits it has:
+    the integer-to-string digit limit of Python 3.11+ is lifted for
+    this one conversion and then restored."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        print(value)
+        return
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        text = str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    print(text)
+
+
 def _cmd_count(args):
     n = args.n
+    method = args.method or _DEFAULT_METHOD[args.what]
     if args.what == "tanglegrams":
-        if args.method == "direct":
-            print(counting.tanglegram_count(n))
-        elif args.method == "recurrence":
-            print(counting.tanglegram_count_rec(n))
-        elif args.method == "mu":
-            print(counting.tanglegram_count_mu(n))
+        if method == "direct":
+            print_count(counting.tanglegram_count(n))
+        elif method == "recurrence":
+            print_count(counting.tanglegram_count_rec(n))
+        elif method == "mu":
+            print_count(counting.tanglegram_count_mu(n))
         else:
             raise _UsageError("tanglegram methods are direct, recurrence, mu")
     elif args.what == "trees":
-        if args.method == "direct":
-            print(counting.tree_count(n))
-        elif args.method == "oracle":
-            print(counting.tree_count_oracle(n))
+        if method == "direct":
+            print_count(counting.tree_count(n))
+        elif method == "oracle":
+            print_count(counting.tree_count_oracle(n))
         else:
             raise _UsageError("tree methods are direct and oracle")
     else:
         if args.k is None:
             raise _UsageError("chains need --k")
-        if args.method == "direct":
-            print(counting.chain_count(args.k, n))
-        elif args.method == "recurrence":
-            print(counting.chain_count_rec(args.k, n))
+        if method == "direct":
+            print_count(counting.chain_count(args.k, n))
+        elif method == "recurrence":
+            print_count(counting.chain_count_rec(args.k, n))
         else:
             raise _UsageError("chain methods are direct and recurrence")
     return 0
@@ -174,8 +198,8 @@ def _cmd_stats(args):
             raise _UsageError("stats pattern needs --pattern")
         try:
             pattern = tree.parse(args.pattern)
-        except (AssertionError, IndexError):
-            raise _UsageError("malformed pattern %r; write trees like ((..).)" % args.pattern)
+        except ValueError as e:
+            raise _UsageError("bad pattern (%s); write trees like ((..).)" % e)
     else:
         pattern = None
     rng = random.Random(args.seed)
@@ -235,12 +259,12 @@ def run(argv):
         return 0 if e.code in (0, None) else int(e.code)
     try:
         return _HANDLERS[args.cmd](args)
-    except _UsageError as e:
-        print("usage error: %s" % e, file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except tree.CapError as e:
         print("error: %s" % e, file=sys.stderr)
         return 3
+    except (_UsageError, ValueError) as e:
+        print("usage error: %s" % e, file=sys.stderr)
+        return 2
 
 
 def main():

@@ -100,24 +100,19 @@ def tree_count(n):
 
 def tree_count_oracle(n):
     """b_n by the classical recurrence from B(x) = x + (B(x)^2 + B(x^2))/2:
-    2*b_n = sum_{i=1}^{n-1} b_i b_{n-i} + [n even] b_{n/2}."""
+    2*b_n = sum_{i=1}^{n-1} b_i b_{n-i} + [n even] b_{n/2}, summed here
+    over i < n/2 with the middle term b_{n/2}*(b_{n/2}+1)/2 added for
+    even n.  A plain loop, so any n stays within the recursion limit."""
     if n < 1:
         raise ValueError("need n >= 1")
-    b = _wedderburn(n)
+    b = [0, 1]
+    for m in range(2, n + 1):
+        tot = sum(b[i] * b[m - i] for i in range(1, (m + 1) // 2))
+        if m % 2 == 0:
+            half = b[m // 2]
+            tot += half * (half + 1) // 2
+        b.append(tot)
     return b[n]
-
-
-@lru_cache(maxsize=None)
-def _wedderburn(n):
-    if n == 1:
-        return [0, 1]
-    b = list(_wedderburn(n - 1))
-    tot = sum(b[i] * b[n - i] for i in range(1, n))
-    if n % 2 == 0:
-        tot += b[n // 2]
-    assert tot % 2 == 0
-    b.append(tot // 2)
-    return b
 
 
 def double_coset_count(T, S):
@@ -138,8 +133,7 @@ def double_coset_count(T, S):
 
 
 # The recurrence route.  r(h, n, s) counts weighted configurations at
-# level h with n nodes left to place and partial weight s; the state
-# (h, n, s) plus the chain length k is the memo key.  Base case
+# level h with n nodes left to place and partial weight s.  Base case
 # r(h, 0, s) = 1; the step sums over how many parts of size 2^h are
 # used, with parity matching n:
 #
@@ -147,31 +141,51 @@ def double_coset_count(T, S):
 #                  c(h, m, s) * r(h+1, (n-m)/2, s + m*2^h)
 #   c(h, m, s) = prod_{j=1}^{m} (2*(s + j*2^h) - 1)^k / (j*2^h)
 #
-# and t(k, n) = r(0, n, 0) / (2n-1)^k.
+# and t(k, n) = r(0, n, 0) / (2n-1)^k.  Every state reached from
+# r(0, n0, 0) has s = n0 - n*2^h, so one table per (k, n0) keyed by
+# (h, n) holds them all.  The sampler in sample.py walks the same table
+# top down to draw a cycle type.
 
-_R_CACHE = {}
+
+@lru_cache(maxsize=4)
+def _level_table(k, n0):
+    """The memo of r for chain length k and total size n0: a dict
+    (h, n) -> r(h, n, n0 - n*2^h).  The last few tables are kept, so a
+    repeated count or a batch of samples at one size reuses its table."""
+    return {}
 
 
-def _r(h, n, s, k):
-    if n == 0:
-        return Fraction(1)
-    key = (h, n, s, k)
-    hit = _R_CACHE.get(key)
-    if hit is not None:
-        return hit
+def level_terms(k, n0, h, n):
+    """Yield (m, c(h, m, s), (n-m)/2) for each admissible number m of
+    parts of size 2^h at the state (h, n) of the (k, n0) recurrence."""
     step = 1 << h
+    s = n0 - n * step
     m = n % 2
     if m == 0:
         c = Fraction(1)
     else:
         c = Fraction((2 * (s + step) - 1) ** k, step)
-    total = c * _r(h + 1, (n - m) // 2, s + m * step, k)
+    yield m, c, (n - m) // 2
     while m + 2 <= n:
         c *= Fraction((2 * (s + (m + 1) * step) - 1) ** k, (m + 1) * step)
         c *= Fraction((2 * (s + (m + 2) * step) - 1) ** k, (m + 2) * step)
         m += 2
-        total += c * _r(h + 1, (n - m) // 2, s + m * step, k)
-    _R_CACHE[key] = total
+        yield m, c, (n - m) // 2
+
+
+def level_r(k, n0, h, n):
+    """r(h, n, n0 - n*2^h) for chain length k, memoized in the
+    (k, n0) table."""
+    if n == 0:
+        return Fraction(1)
+    table = _level_table(k, n0)
+    hit = table.get((h, n))
+    if hit is not None:
+        return hit
+    total = Fraction(0)
+    for _, c, rest in level_terms(k, n0, h, n):
+        total += c * level_r(k, n0, h + 1, rest)
+    table[(h, n)] = total
     return total
 
 
@@ -180,7 +194,7 @@ def chain_count_rec(k, n):
     materialized, so this route scales to n in the thousands."""
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
-    val = _r(0, n, 0, k) / Fraction((2 * n - 1) ** k)
+    val = level_r(k, n, 0, n) / Fraction((2 * n - 1) ** k)
     assert val.denominator == 1, "recurrence value failed to clear its denominator"
     return val.numerator
 

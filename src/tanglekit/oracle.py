@@ -17,7 +17,7 @@ from math import factorial
 
 from .perm import compose, inverse
 from .sample import Tanglegram, TangledChain
-from .tree import enumerate_trees
+from .tree import CapError, enumerate_trees
 
 BRUTE_CAP = 7
 AUT_CAP = 8
@@ -51,7 +51,7 @@ def brute_automorphisms(t):
     """
     n = t.leaves
     if n > AUT_CAP:
-        raise ValueError("brute automorphisms capped at %d leaves (asked for %d)" % (AUT_CAP, n))
+        raise CapError("brute automorphisms capped at %d leaves (asked for %d)" % (AUT_CAP, n))
     fam = _vertex_family(t)
     out = []
     for v in itertools.permutations(range(1, n + 1)):
@@ -95,7 +95,7 @@ def brute_tanglegrams(n, allow_slow=False):
     over all ordered tree pairs.  n = 8 takes minutes and must be
     requested with allow_slow=True."""
     if n > BRUTE_CAP + 1 or (n == BRUTE_CAP + 1 and not allow_slow):
-        raise ValueError(
+        raise CapError(
             "brute tanglegram enumeration capped at %d leaves "
             "(%d allowed with allow_slow=True)" % (BRUTE_CAP, BRUTE_CAP + 1))
     if n == BRUTE_CAP + 1:
@@ -114,7 +114,7 @@ def brute_unordered_count(n):
     (T, v, S) ~ (S, v^-1, T): orbits of the ordered classes under
     swap-then-canonicalize."""
     if n > BRUTE_CAP:
-        raise ValueError("unordered brute count capped at %d leaves" % BRUTE_CAP)
+        raise CapError("unordered brute count capped at %d leaves" % BRUTE_CAP)
     reps = brute_tanglegrams(n)
     fixed = 0
     for tg in reps:
@@ -133,7 +133,7 @@ def brute_chains(k, n, cap=4):
     expanding full orbits of the product of automorphism groups acting
     on the matchings."""
     if n > cap:
-        raise ValueError("brute chain enumeration capped at %d leaves" % cap)
+        raise CapError("brute chain enumeration capped at %d leaves" % cap)
     trees = enumerate_trees(n)
     perms = list(itertools.permutations(range(1, n + 1)))
     reps = []

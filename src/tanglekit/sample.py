@@ -2,7 +2,8 @@
 
 The sampling route is the same for all three objects.  A binary
 partition lam of n is drawn with exact rational weights (z*q^2 for
-tanglegrams, q for trees, z^(k-1)*q^k for chains), then each tree is
+tanglegrams, q for trees, z^(k-1)*q^k for chains) by a walk over the
+level-recurrence table of counting.py, then each tree is
 built together with an automorphism of cycle type lam by a recursive
 procedure whose output probability is exactly 1/(|A(T)|*q(lam)), and
 finally matchings between neighboring trees are filled in by sampling a
@@ -20,9 +21,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .partition import binary_partitions, halve, q_of, split_pairs, z_of
+from .counting import level_r, level_terms
+from .partition import halve, q_of, split_pairs
 from .perm import compose, flip, identity, interleave, inverse, sample_conjugator
-from .tree import LEAF, compare, node
+from .tree import LEAF, CapError, compare, node
 
 
 class Tanglegram:
@@ -132,9 +134,7 @@ def _int_weights(weights):
     return ints, den
 
 
-_split_cache = {}
-
-
+@lru_cache(maxsize=1 << 12)
 def _split_dist(parts):
     """Cached option table for the tree-with-permutation sampler at
     partition `parts`: all ordered splits into two nonempty halves,
@@ -142,24 +142,19 @@ def _split_dist(parts):
     halved partition, weighted q(parts/2).  The total weight is exactly
     2*q(parts); that identity is what makes the output probability come
     out to 1/(|A(T)|*q(lam)), so it is asserted here."""
-    d = _split_cache.get(parts)
-    if d is None:
-        options = []
-        weights = []
-        for a, b in split_pairs(parts):
-            if a and b:
-                options.append((a, b))
-                weights.append(q_of(a) * q_of(b))
-        h = halve(parts)
-        if not h.degenerate:
-            options.append(None)
-            weights.append(q_of(h))
-        ints, den = _int_weights(weights)
-        assert sum(ints) == 2 * q_of(parts) * den
-        cum = list(itertools.accumulate(ints))
-        d = (options, cum, h)
-        _split_cache[parts] = d
-    return d
+    options = []
+    weights = []
+    for a, b in split_pairs(parts):
+        if a and b:
+            options.append((a, b))
+            weights.append(q_of(a) * q_of(b))
+    h = halve(parts)
+    if not h.degenerate:
+        options.append(None)
+        weights.append(q_of(h))
+    ints, den = _int_weights(weights)
+    assert sum(ints) == 2 * q_of(parts) * den
+    return options, list(itertools.accumulate(ints)), h
 
 
 def random_tree_and_perm(parts, rng):
@@ -195,27 +190,49 @@ def random_tree_and_perm(parts, rng):
     return node(t1, t2), w1 + tuple(v + k for v in w2)
 
 
-_lam_cache = {}
+# The draw of lam walks the level recurrence of counting.py top down,
+# the recursive method of Nijenhuis and Wilf.  At the state (h, n') of
+# the (k, n) table, n' units of size 2^h are left to place; the walk
+# takes m parts of size 2^h with weight c(h, m, s) * r(h+1, (n'-m)/2),
+# and these weights sum to r(h, n').  The step probabilities multiply
+# to z(lam)^(k-1) * q(lam)^k / t(k, n) for the partition built.
+
+@lru_cache(maxsize=4)
+def _lam_steps(k, n):
+    """Option tables of the lam walk for (k, n): a dict mapping a state
+    (h, n') to (part counts m, cumulative integer weights)."""
+    return {}
 
 
-def _lam_dist(n, k):
-    """Cached distribution over binary partitions of n with weight
-    z^(k-1) * q^k; k=1 serves trees, k=2 tanglegrams."""
-    key = (n, k)
-    d = _lam_cache.get(key)
+def _lam_step(k, n, h, units):
+    steps = _lam_steps(k, n)
+    d = steps.get((h, units))
     if d is None:
-        lams = list(binary_partitions(n))
-        weights = [z_of(l) ** (k - 1) * q_of(l) ** k for l in lams]
-        ints, _ = _int_weights(weights)
-        cum = list(itertools.accumulate(ints))
-        d = (lams, cum)
-        _lam_cache[key] = d
+        counts = []
+        weights = []
+        for m, c, rest in level_terms(k, n, h, units):
+            counts.append(m)
+            weights.append(c * level_r(k, n, h + 1, rest))
+        ints, den = _int_weights(weights)
+        assert sum(ints) == level_r(k, n, h, units) * den
+        d = (counts, list(itertools.accumulate(ints)))
+        steps[(h, units)] = d
     return d
 
 
 def _draw_lam(n, k, rng):
-    lams, cum = _lam_dist(n, k)
-    return lams[bisect.bisect_right(cum, rng.randrange(cum[-1]))]
+    """A binary partition of n drawn with probability
+    z^(k-1) * q^k / t(k, n)."""
+    parts = []
+    h, units = 0, n
+    while units:
+        counts, cum = _lam_step(k, n, h, units)
+        m = counts[bisect.bisect_right(cum, rng.randrange(cum[-1]))]
+        parts += [1 << h] * m
+        units = (units - m) // 2
+        h += 1
+    parts.reverse()
+    return tuple(parts)
 
 
 def random_tanglegram(n, rng):
@@ -252,7 +269,7 @@ def random_chain(k, n, rng):
 ORACLE_CAP = 8
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 10)
 def automorphism_group(t):
     """Every element of A(t) as a leaf permutation; exhaustive
     recursion, only sensible for small trees."""
@@ -278,7 +295,7 @@ def canonical_rep(tg, cap=ORACLE_CAP):
     tanglegrams are equivalent iff their canonical_rep outputs are
     equal."""
     if tg.n > cap:
-        raise ValueError("canonical_rep capped at %d leaves (asked for %d)" % (cap, tg.n))
+        raise CapError("canonical_rep capped at %d leaves (asked for %d)" % (cap, tg.n))
     best = None
     for u in automorphism_group(tg.left):
         uv = compose(u, tg.matching)
@@ -294,7 +311,7 @@ def canonical_chain_rep(chain, cap=ORACLE_CAP):
     over the product of the trees' automorphism groups acting by
     m_i -> t_i o m_i o t_{i+1}^{-1}."""
     if chain.n > cap:
-        raise ValueError("canonical_chain_rep capped at %d leaves" % (cap,))
+        raise CapError("canonical_chain_rep capped at %d leaves" % (cap,))
     groups = [automorphism_group(t) for t in chain.trees]
     best = None
     for ts in itertools.product(*groups):

@@ -18,6 +18,11 @@ from functools import lru_cache
 _intern = {}
 
 
+class CapError(ValueError):
+    """A request beyond the size cap of an enumeration or a brute-force
+    helper.  The CLI reports it with exit code 3."""
+
+
 class Tree:
     __slots__ = ("left", "right", "leaves", "key")
 
@@ -57,25 +62,30 @@ def node(left, right):
 
 
 def parse(s):
-    """Inverse of the canonical serialization."""
-    pos = 0
-
-    def rec():
-        nonlocal pos
-        if s[pos] == ".":
-            pos += 1
-            return LEAF
-        assert s[pos] == "(", "malformed tree string"
-        pos += 1
-        left = rec()
-        right = rec()
-        assert s[pos] == ")", "malformed tree string"
-        pos += 1
-        return node(left, right)
-
-    out = rec()
-    assert pos == len(s), "trailing characters in tree string"
-    return out
+    """Inverse of the canonical serialization.  Raises ValueError on a
+    string that is not a tree; nesting depth is limited only where two
+    deep subtrees of equal size must be compared."""
+    frames = [[]]  # children read so far, one list per open "("
+    for pos, ch in enumerate(s):
+        if ch == "(":
+            frames.append([])
+            continue
+        if ch == ".":
+            t = LEAF
+        elif ch == ")" and len(frames) > 1 and len(frames[-1]) == 2:
+            try:
+                t = node(*frames.pop())
+            except RecursionError:
+                raise ValueError("subtrees at position %d nested too deeply to compare"
+                                 % pos) from None
+        else:
+            raise ValueError("malformed tree string at position %d" % pos)
+        frames[-1].append(t)
+        if len(frames[-1]) > (1 if len(frames) == 1 else 2):
+            raise ValueError("malformed tree string at position %d" % pos)
+    if len(frames) != 1 or not frames[0]:
+        raise ValueError("unterminated tree string")
+    return frames[0][0]
 
 
 def compare(a, b):
@@ -120,7 +130,7 @@ def enumerate_trees(n, cap=DEFAULT_CAP):
     if n < 1:
         raise ValueError("need n >= 1")
     if n > cap:
-        raise ValueError("enumeration capped at %d leaves (asked for %d)" % (cap, n))
+        raise CapError("enumeration capped at %d leaves (asked for %d)" % (cap, n))
     return _all_trees(n)
 
 
@@ -187,7 +197,11 @@ def count_occurrences(pattern, t):
 
 def symmetry_count(t):
     """Number of internal vertices whose two child subtrees coincide."""
-    if t.is_leaf:
-        return 0
-    own = 1 if t.left == t.right else 0
-    return own + symmetry_count(t.left) + symmetry_count(t.right)
+    count = 0
+    stack = [t]
+    while stack:
+        v = stack.pop()
+        if not v.is_leaf:
+            count += v.left == v.right
+            stack += (v.left, v.right)
+    return count

@@ -1,6 +1,7 @@
 import json
+import sys
 
-from tanglekit.cli import run
+from tanglekit.cli import print_count, run
 from tanglekit.tree import parse
 
 
@@ -27,10 +28,13 @@ def test_count_methods_agree(capsys):
     oracle_out = out_of(capsys)
     assert run(["count", "trees", "--n", "30"]) == 0
     assert out_of(capsys) == oracle_out
-    assert run(["count", "chains", "--k", "4", "--n", "8", "--method", "recurrence"]) == 0
-    rec_out = out_of(capsys)
+    assert run(["count", "tanglegrams", "--n", "10"]) == 0
+    assert out_of(capsys) == outs[0]
+    # the chain default is the recurrence; compare it with the direct sum
+    assert run(["count", "chains", "--k", "4", "--n", "8", "--method", "direct"]) == 0
+    direct_out = out_of(capsys)
     assert run(["count", "chains", "--k", "4", "--n", "8"]) == 0
-    assert out_of(capsys) == rec_out
+    assert out_of(capsys) == direct_out
 
 
 def test_usage_errors(capsys):
@@ -48,6 +52,9 @@ def test_usage_errors(capsys):
         ["stats", "pattern", "--n", "6", "--samples", "10", "--seed", "1"],
         ["stats", "pattern", "--pattern", "((.)", "--n", "6",
          "--samples", "10", "--seed", "1"],
+        ["stats", "pattern", "--pattern", "(..)xyz", "--n", "6",
+         "--samples", "10", "--seed", "1"],
+        ["count", "tanglegrams", "--n", "1", "--method", "mu"],  # rejected argument, not a cap
         ["--bogus"],
     ]
     for argv in bad:
@@ -59,6 +66,31 @@ def test_cap_exit_code(capsys):
     assert run(["oracle", "tanglegrams", "--n", "9"]) == 3
     assert capsys.readouterr().out == ""
     assert run(["oracle", "tanglegrams", "--n", "8"]) == 3  # needs --allow-slow
+
+
+def test_count_prints_past_digit_limit(capsys):
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    limit = get_limit()
+    print_count(10 ** 4999 + 7)
+    out = out_of(capsys)
+    assert len(out) == 5001 and out.startswith("1000") and out.endswith("7\n")
+    assert get_limit() == limit
+
+
+def test_deep_pattern_answers_or_exits_2(capsys):
+    # a caterpillar nested 1500 deep parses and is answered
+    deep = "(" * 1500 + "..)" + ".)" * 1499
+    assert run(["stats", "pattern", "--pattern", deep, "--n", "6",
+                "--samples", "5", "--seed", "1"]) == 0
+    d = json.loads(out_of(capsys))
+    assert d["mean"] == 0.0
+    # two deep subtrees of equal size are compared recursively; past the
+    # recursion limit that is a clean usage error, not a traceback
+    spine = lambda bottom: "(" * 1200 + bottom + ".)" * 1200
+    wide = "(" + spine("((..)(..))") + spine("(((..).).)") + ")"
+    assert run(["stats", "pattern", "--pattern", wide, "--n", "6",
+                "--samples", "5", "--seed", "1"]) in (0, 2)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_sample_deterministic(capsys):

@@ -1,15 +1,17 @@
 import random
+import sys
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
 from tanglekit.counting import (
-    _r,
+    _level_table,
     catalan,
     chain_count,
     chain_count_rec,
     double_coset_count,
+    level_r,
     r_poly,
     tanglegram_count,
     tanglegram_count_mu,
@@ -72,12 +74,25 @@ def test_tree_oracle():
         assert tree_count_oracle(n) == tree_count(n)
 
 
+def test_tree_oracle_is_a_loop():
+    # a recursive recurrence would need 3000 frames
+    assert sys.getrecursionlimit() < 3000
+    b = tree_count_oracle(3000)
+    assert len(str(b)) == 1180
+
+
 def test_recurrence_internals():
+    # level_r(k, n0, h, n) is r(h, n, n0 - n*2^h) for chain length k
     for h in range(5):
-        for s in (0, 3, 12):
-            assert _r(h, 0, s, 2) == 1
-    assert _r(0, 4, 0, 2) == 637
-    assert _r(0, 3, 0, 3) == 625
+        for n0 in (0, 3, 12):
+            assert level_r(2, n0, h, 0) == 1
+    assert level_r(2, 4, 0, 4) == 637
+    assert level_r(3, 3, 0, 3) == 625
+    # one table per (k, n0), keyed by (h, n); the count reads it
+    table = _level_table(2, 4)
+    assert table[(0, 4)] == 637
+    assert all(n * 2 ** h <= 4 for h, n in table)
+    assert chain_count_rec(2, 4) == 637 // 7 ** 2 == 13
 
 
 def test_three_routes_agree():

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from tanglekit.partition import binary_partitions
+from tanglekit.counting import chain_count
+from tanglekit.partition import binary_partitions, q_of, z_of
 from tanglekit.perm import compose, cycle_type, identity, inverse
 from tanglekit.sample import (
     ORACLE_CAP,
+    _lam_step,
     TangledChain,
     Tanglegram,
     automorphism_group,
@@ -108,6 +110,38 @@ def test_tree_and_perm_identity_marginal_n4():
         random_tree_and_perm((1, 1, 1, 1), rng)[0] is BAL4 for _ in range(draws))
     lo, hi = band(draws, 1 / 5)
     assert lo < hits < hi
+
+
+# ---------------------------------------------------------------- lam draw
+
+def _lam_walk(k, n):
+    """Exact distribution of the lam draw: every branch of the level
+    walk, with the probability its cumulative weights give it."""
+    out = {}
+
+    def rec(h, units, parts, p):
+        if not units:
+            lam = tuple(sorted(parts, reverse=True))
+            out[lam] = out.get(lam, 0) + p
+            return
+        counts, cum = _lam_step(k, n, h, units)
+        prev = 0
+        for m, c in zip(counts, cum):
+            rec(h + 1, (units - m) // 2, parts + [1 << h] * m, p * Fraction(c - prev, cum[-1]))
+            prev = c
+
+    rec(0, n, [], Fraction(1))
+    return out
+
+
+def test_lam_draw_exact():
+    # each binary partition gets exactly z^(k-1) q^k / t(k, n)
+    for k in (1, 2, 3):
+        for n in range(1, 17):
+            t = chain_count(k, n)
+            want = {lam: z_of(lam) ** (k - 1) * q_of(lam) ** k / t
+                    for lam in binary_partitions(n)}
+            assert _lam_walk(k, n) == want, (k, n)
 
 
 # ---------------------------------------------------------------- alg 3

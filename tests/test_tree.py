@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import tanglekit
 from tanglekit.partition import binary_partitions, q_of
 from tanglekit.tree import (
     LEAF,
@@ -17,6 +21,7 @@ from tanglekit.tree import (
 )
 
 B_SEQ = [1, 1, 1, 2, 3, 6, 11, 23, 46, 98, 207, 451]
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(tanglekit.__file__)))
 
 CHERRY = node(LEAF, LEAF)
 BAL4 = node(CHERRY, CHERRY)
@@ -44,6 +49,36 @@ def test_serialization():
     for n in range(1, 8):
         for t in enumerate_trees(n):
             assert parse(t.key) == t
+
+
+def test_parse_rejects_malformed():
+    for bad in ("", ".)", "..", "(.", "((..)", "(..))", "(...)", "(..)xyz", "(.x)"):
+        with pytest.raises(ValueError):
+            parse(bad)
+
+
+def test_parse_deep():
+    deep = "(" * 1500 + "..)" + ".)" * 1499
+    t = parse(deep)
+    assert t.leaves == 1501 and t.key == deep
+    assert symmetry_count(t) == 1
+
+
+def test_parse_checks_survive_optimize():
+    # input checks are exceptions, not asserts, so python -O keeps them
+    script = (
+        "from tanglekit.tree import parse\n"
+        "for bad in ('(..)xyz', '(...)', '(.'):\n"
+        "    try:\n"
+        "        parse(bad)\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit('accepted %r' % bad)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_node_canonicalizes():
