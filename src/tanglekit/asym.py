@@ -47,11 +47,14 @@ def t_asym(n, terms=0, family="a", precision=200):
     """Approximate t_n with the first `terms` corrections beyond the
     leading term.  Six coefficients are known per family (indices 0..5),
     so terms=6 adds nothing beyond terms=5; larger values are rejected.
+    The working precision is in bits, at least 64 as for f_fixed_point.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     if not 0 <= terms <= 6:
         raise ValueError("terms must be between 0 and 6")
+    if precision < 64:
+        raise ValueError("need precision >= 64 bits")
     fam = family.lower()
     if fam == "a":
         coeffs = COEFFS_A

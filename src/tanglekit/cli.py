@@ -41,16 +41,37 @@ def _positive(s):
     return v
 
 
+# Count routes per object, the default first: the level recurrence
+# where it exists, since it scales to n in the thousands; direct stays
+# as a cross-check.  The lambdas look counting.* up at call time, so
+# wrappers put on the module's functions see every call.
+_COUNT_ROUTES = {
+    "tanglegrams": {
+        "recurrence": lambda a: counting.tanglegram_count_rec(a.n),
+        "direct": lambda a: counting.tanglegram_count(a.n),
+        "mu": lambda a: counting.tanglegram_count_mu(a.n),
+    },
+    "trees": {
+        "direct": lambda a: counting.tree_count(a.n),
+        "oracle": lambda a: counting.tree_count_oracle(a.n),
+    },
+    "chains": {
+        "recurrence": lambda a: counting.chain_count_rec(a.k, a.n),
+        "direct": lambda a: counting.chain_count(a.k, a.n),
+    },
+}
+
+
 def _build_parser():
     ap = argparse.ArgumentParser(prog="tanglekit")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("count", help="exact counts")
-    p.add_argument("what", choices=["tanglegrams", "trees", "chains"])
+    p.add_argument("what", choices=list(_COUNT_ROUTES))
     p.add_argument("--n", type=_positive, required=True)
     p.add_argument("--k", type=_positive, default=None)
     p.add_argument("--method", default=None,
-                   choices=["direct", "recurrence", "mu", "oracle"])
+                   choices=list(dict.fromkeys(m for r in _COUNT_ROUTES.values() for m in r)))
 
     p = sub.add_parser("sample", help="uniform random objects")
     p.add_argument("what", choices=["tanglegram", "tree", "chain"])
@@ -90,11 +111,6 @@ def _build_parser():
     return ap
 
 
-# Default count route per object: the level recurrence where it exists,
-# since it scales to n in the thousands; direct stays as a cross-check.
-_DEFAULT_METHOD = {"tanglegrams": "recurrence", "trees": "direct", "chains": "recurrence"}
-
-
 def print_count(value):
     """Print an exact count in full decimal, however many digits it has:
     the integer-to-string digit limit of Python 3.11+ is lifted for
@@ -113,33 +129,13 @@ def print_count(value):
 
 
 def _cmd_count(args):
-    n = args.n
-    method = args.method or _DEFAULT_METHOD[args.what]
-    if args.what == "tanglegrams":
-        if method == "direct":
-            print_count(counting.tanglegram_count(n))
-        elif method == "recurrence":
-            print_count(counting.tanglegram_count_rec(n))
-        elif method == "mu":
-            print_count(counting.tanglegram_count_mu(n))
-        else:
-            raise _UsageError("tanglegram methods are direct, recurrence, mu")
-    elif args.what == "trees":
-        if method == "direct":
-            print_count(counting.tree_count(n))
-        elif method == "oracle":
-            print_count(counting.tree_count_oracle(n))
-        else:
-            raise _UsageError("tree methods are direct and oracle")
-    else:
-        if args.k is None:
-            raise _UsageError("chains need --k")
-        if method == "direct":
-            print_count(counting.chain_count(args.k, n))
-        elif method == "recurrence":
-            print_count(counting.chain_count_rec(args.k, n))
-        else:
-            raise _UsageError("chain methods are direct and recurrence")
+    routes = _COUNT_ROUTES[args.what]
+    method = args.method or next(iter(routes))
+    if args.what == "chains" and args.k is None:
+        raise _UsageError("chains need --k")
+    if method not in routes:
+        raise _UsageError("%s methods are %s" % (args.what, ", ".join(routes)))
+    print_count(routes[method](args))
     return 0
 
 

@@ -73,45 +73,8 @@ def q_numerator(parts):
     return numer
 
 
-class HalfPartition:
-    """The formal half of a binary partition.
-
-    Halving lam divides every part by 2.  When the smallest part of lam
-    is 1 the half is degenerate (it would contain the non-part 1/2) and
-    its q weight is zero by convention; q_of handles that case.  The
-    non-degenerate half is an honest binary partition, available as
-    .parts.
-    """
-
-    __slots__ = ("doubled",)
-
-    def __init__(self, doubled):
-        self.doubled = tuple(doubled)
-
-    @property
-    def degenerate(self):
-        return bool(self.doubled) and self.doubled[-1] == 1
-
-    @property
-    def parts(self):
-        assert not self.degenerate
-        return tuple(p // 2 for p in self.doubled)
-
-    def __repr__(self):
-        return "HalfPartition(%r)" % (self.doubled,)
-
-
-def halve(parts):
-    return HalfPartition(parts)
-
-
 def q_of(lam):
-    """The weight q as an exact Fraction.  Accepts a partition tuple or
-    a HalfPartition; a degenerate half has weight 0."""
-    if isinstance(lam, HalfPartition):
-        if lam.degenerate:
-            return Fraction(0)
-        lam = lam.parts
+    """The weight q of a partition tuple as an exact Fraction."""
     return Fraction(q_numerator(lam), z_of(lam))
 
 

@@ -55,24 +55,20 @@ def flip(k):
     return tuple(range(k + 1, 2 * k + 1)) + tuple(range(1, k + 1))
 
 
-def interleave(w1, w2, k):
-    """pi o w1 o pi o w1^-1 o pi o w2 with pi = flip(k).
+def interleave(w1, w2):
+    """The permutation of {1..2k} that sends i to w1(i) + k and k + j
+    to w1^-1(w2(j)), for k-permutations w1 and w2.
 
-    w1 and w2 must be permutations of {1..2k}, w1 fixing [k+1,2k]
-    pointwise and w2 fixing [1,k].  The result swaps the two halves
-    while threading w1 and w2 through, so its cycle type is twice the
-    cycle type of w2 restricted to the upper half.
+    It equals pi o w1 o pi o w1^-1 o pi o w2 with pi = flip(k), once w1
+    is extended by the identity on [k+1,2k] and w2 is shifted onto
+    [k+1,2k].  The result swaps the two halves while threading w1 and
+    w2 through, so its cycle type is twice the cycle type of w2.
     """
-    if len(w1) != 2 * k or len(w2) != 2 * k:
-        raise ValueError("need permutations of {1..%d}" % (2 * k,))
-    for i in range(k, 2 * k):
-        if w1[i] != i + 1:
-            raise ValueError("w1 must fix [k+1,2k] pointwise")
-    for i in range(k):
-        if w2[i] != i + 1:
-            raise ValueError("w2 must fix [1,k] pointwise")
-    pi = flip(k)
-    return compose(pi, compose(w1, compose(pi, compose(inverse(w1), compose(pi, w2)))))
+    k = len(w1)
+    if len(w2) != k:
+        raise ValueError("size mismatch: %d vs %d" % (k, len(w2)))
+    inv = inverse(w1)
+    return tuple(v + k for v in w1) + tuple(inv[v - 1] for v in w2)
 
 
 def sample_conjugator(u, v, rng):

@@ -17,14 +17,13 @@ an owned random.Random-like object with randrange and shuffle.
 
 import bisect
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
 from .counting import level_r, level_terms
-from .partition import halve, q_of, split_pairs
-from .perm import compose, flip, identity, interleave, inverse, sample_conjugator
-from .tree import LEAF, CapError, compare, node
+from .partition import q_of, split_pairs
+from .perm import compose, flip, interleave, sample_conjugator
+from .tree import LEAF, compare, node
 
 
 class Tanglegram:
@@ -128,33 +127,38 @@ def random_automorphism(t, rng):
 # lcm denominator turns the draw into one randrange over an integer
 # total plus a bisect, which is exact.
 
-def _int_weights(weights):
-    den = lcm(*(w.denominator for w in weights)) if weights else 1
-    ints = [w.numerator * (den // w.denominator) for w in weights]
-    return ints, den
+def _cumulative(weights):
+    """Cumulative integer weights over the common denominator den, so
+    that option i has probability (cum[i] - cum[i-1]) / cum[-1]."""
+    den = lcm(*(w.denominator for w in weights))
+    return list(itertools.accumulate(w.numerator * (den // w.denominator) for w in weights)), den
+
+
+def _pick(cum, rng):
+    """Index of an option drawn with the weights of a _cumulative list."""
+    return bisect.bisect_right(cum, rng.randrange(cum[-1]))
 
 
 @lru_cache(maxsize=1 << 12)
 def _split_dist(parts):
     """Cached option table for the tree-with-permutation sampler at
     partition `parts`: all ordered splits into two nonempty halves,
-    weighted q(half1)*q(half2), plus (when every part is even) the
-    halved partition, weighted q(parts/2).  The total weight is exactly
-    2*q(parts); that identity is what makes the output probability come
-    out to 1/(|A(T)|*q(lam)), so it is asserted here."""
+    weighted q(half1)*q(half2), plus (when every part is even) None for
+    the halved partition, weighted q(parts/2).  The total weight is
+    exactly 2*q(parts); that identity is what makes the output
+    probability come out to 1/(|A(T)|*q(lam)), so it is asserted here."""
     options = []
     weights = []
     for a, b in split_pairs(parts):
         if a and b:
             options.append((a, b))
             weights.append(q_of(a) * q_of(b))
-    h = halve(parts)
-    if not h.degenerate:
+    if parts[-1] > 1:
         options.append(None)
-        weights.append(q_of(h))
-    ints, den = _int_weights(weights)
-    assert sum(ints) == 2 * q_of(parts) * den
-    return options, list(itertools.accumulate(ints)), h
+        weights.append(q_of(tuple(p // 2 for p in parts)))
+    cum, den = _cumulative(weights)
+    assert cum[-1] == 2 * q_of(parts) * den
+    return options, cum
 
 
 def random_tree_and_perm(parts, rng):
@@ -172,16 +176,13 @@ def random_tree_and_perm(parts, rng):
     n = sum(parts)
     if n == 1:
         return LEAF, (1,)
-    options, cum, h = _split_dist(parts)
-    i = bisect.bisect_right(cum, rng.randrange(cum[-1]))
-    if options[i] is None:
-        t1, w2 = random_tree_and_perm(h.parts, rng)
+    options, cum = _split_dist(parts)
+    option = options[_pick(cum, rng)]
+    if option is None:
+        t1, w2 = random_tree_and_perm(tuple(p // 2 for p in parts), rng)
         w1 = random_automorphism(t1, rng)
-        k = t1.leaves
-        w1e = w1 + identity(2 * k)[k:]
-        w2e = identity(k) + tuple(v + k for v in w2)
-        return node(t1, t1), interleave(w1e, w2e, k)
-    a, b = options[i]
+        return node(t1, t1), interleave(w1, w2)
+    a, b = option
     t1, w1 = random_tree_and_perm(a, rng)
     t2, w2 = random_tree_and_perm(b, rng)
     if compare(t1, t2) < 0:
@@ -213,9 +214,9 @@ def _lam_step(k, n, h, units):
         for m, c, rest in level_terms(k, n, h, units):
             counts.append(m)
             weights.append(c * level_r(k, n, h + 1, rest))
-        ints, den = _int_weights(weights)
-        assert sum(ints) == level_r(k, n, h, units) * den
-        d = (counts, list(itertools.accumulate(ints)))
+        cum, den = _cumulative(weights)
+        assert cum[-1] == level_r(k, n, h, units) * den
+        d = (counts, cum)
         steps[(h, units)] = d
     return d
 
@@ -227,7 +228,7 @@ def _draw_lam(n, k, rng):
     h, units = 0, n
     while units:
         counts, cum = _lam_step(k, n, h, units)
-        m = counts[bisect.bisect_right(cum, rng.randrange(cum[-1]))]
+        m = counts[_pick(cum, rng)]
         parts += [1 << h] * m
         units = (units - m) // 2
         h += 1
@@ -264,62 +265,6 @@ def random_chain(k, n, rng):
     matchings = [sample_conjugator(pairs[i][1], pairs[i + 1][1], rng)
                  for i in range(k - 1)]
     return TangledChain([p[0] for p in pairs], matchings)
-
-
-ORACLE_CAP = 8
-
-
-@lru_cache(maxsize=1 << 10)
-def automorphism_group(t):
-    """Every element of A(t) as a leaf permutation; exhaustive
-    recursion, only sensible for small trees."""
-    if t.is_leaf:
-        return ((1,),)
-    k = t.left.leaves
-    lefts = automorphism_group(t.left)
-    rights = automorphism_group(t.right)
-    out = []
-    for w1 in lefts:
-        for w2 in rights:
-            out.append(w1 + tuple(v + k for v in w2))
-    if t.left == t.right:
-        pi = flip(k)
-        out.extend(compose(pi, w) for w in list(out))
-    return tuple(out)
-
-
-def canonical_rep(tg, cap=ORACLE_CAP):
-    """The member of tg's equivalence class whose matching is
-    lexicographically minimal over {u o v o w : u in A(left),
-    w in A(right)}, by explicit enumeration of both groups.  Two
-    tanglegrams are equivalent iff their canonical_rep outputs are
-    equal."""
-    if tg.n > cap:
-        raise CapError("canonical_rep capped at %d leaves (asked for %d)" % (cap, tg.n))
-    best = None
-    for u in automorphism_group(tg.left):
-        uv = compose(u, tg.matching)
-        for w in automorphism_group(tg.right):
-            cand = compose(uv, w)
-            if best is None or cand < best:
-                best = cand
-    return Tanglegram(tg.left, tg.right, best)
-
-
-def canonical_chain_rep(chain, cap=ORACLE_CAP):
-    """Chain analogue of canonical_rep: minimize the tuple of matchings
-    over the product of the trees' automorphism groups acting by
-    m_i -> t_i o m_i o t_{i+1}^{-1}."""
-    if chain.n > cap:
-        raise CapError("canonical_chain_rep capped at %d leaves" % (cap,))
-    groups = [automorphism_group(t) for t in chain.trees]
-    best = None
-    for ts in itertools.product(*groups):
-        cand = tuple(compose(ts[i], compose(chain.matchings[i], inverse(ts[i + 1])))
-                     for i in range(len(chain.matchings)))
-        if best is None or cand < best:
-            best = cand
-    return TangledChain(chain.trees, best)
 
 
 def cherry_statistics(n, samples, rng, pattern=None):

@@ -31,11 +31,11 @@ from tanglekit.oracle import (
     brute_pair_classes,
     brute_tanglegrams,
     brute_unordered_count,
+    canonical_chain_rep,
+    canonical_rep,
 )
 from tanglekit.partition import binary_partitions, q_of
 from tanglekit.sample import (
-    canonical_chain_rep,
-    canonical_rep,
     cherry_statistics,
     random_chain,
     random_tanglegram,

@@ -59,6 +59,8 @@ def test_input_validation():
     with pytest.raises(ValueError):
         t_asym(10, 0, "c")
     with pytest.raises(ValueError):
+        t_asym(100, 3, "a", precision=1)
+    with pytest.raises(ValueError):
         f_fixed_point(32)
 
 

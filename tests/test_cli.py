@@ -49,6 +49,7 @@ def test_usage_errors(capsys):
         ["count", "widgets", "--n", "4"],
         ["sample", "tanglegram", "--n", "4", "--count", "2"],  # missing --seed
         ["asym", "--n", "100", "--terms", "7", "--family", "a"],
+        ["asym", "--n", "100", "--terms", "3", "--family", "a", "--precision", "1"],
         ["stats", "pattern", "--n", "6", "--samples", "10", "--seed", "1"],
         ["stats", "pattern", "--pattern", "((.)", "--n", "6",
          "--samples", "10", "--seed", "1"],

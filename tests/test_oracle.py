@@ -9,13 +9,14 @@ from tanglekit.counting import (
     tree_count,
 )
 from tanglekit.oracle import (
+    automorphism_group,
     brute_automorphisms,
     brute_chains,
     brute_pair_classes,
     brute_tanglegrams,
     brute_unordered_count,
+    canonical_rep,
 )
-from tanglekit.sample import automorphism_group, canonical_rep
 from tanglekit.tree import LEAF, aut_size, cycle_type_table, enumerate_trees, node
 
 CHERRY = node(LEAF, LEAF)

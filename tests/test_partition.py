@@ -3,14 +3,13 @@ from fractions import Fraction
 import pytest
 
 from tanglekit.partition import (
-    HalfPartition,
     binary_partitions,
-    halve,
     q_numerator,
     q_of,
     split_pairs,
     z_of,
 )
+from tanglekit.sample import _split_dist
 
 
 def bp_count(n):
@@ -94,15 +93,21 @@ def test_tanglegram_terms_for_n4():
     assert sum(terms.values()) == 13
 
 
+def halved_q(lam):
+    # q of lam with every part halved; no such partition when a part is 1
+    return q_of(tuple(p // 2 for p in lam)) if lam[-1] > 1 else 0
+
+
 def test_halve():
-    h = halve((4, 2))
-    assert isinstance(h, HalfPartition)
-    assert not h.degenerate
-    assert h.parts == (2, 1)
-    assert q_of(h) == Fraction(1, 2)
-    hd = halve((2, 1))
-    assert hd.degenerate
-    assert q_of(hd) == 0
+    # the tree sampler offers the halved partition, as its last option
+    # None, exactly when every part is even, weighted q(lam/2)
+    assert halved_q((4, 2)) == q_of((2, 1)) == Fraction(1, 2)
+    assert halved_q((2, 1)) == 0
+    options, cum = _split_dist((4, 2))
+    assert options[-1] is None and None not in options[:-1]
+    assert Fraction(cum[-1] - cum[-2], cum[-1]) == halved_q((4, 2)) / (2 * q_of((4, 2)))
+    options, _ = _split_dist((2, 1))
+    assert None not in options
 
 
 def test_split_pairs_counts_and_unions():
@@ -128,7 +133,7 @@ def test_split_identity():
     # This is what makes the tree sampler's option weights add up.
     for n in range(2, 21):
         for lam in binary_partitions(n):
-            total = q_of(halve(lam))
+            total = halved_q(lam)
             for a, b in split_pairs(lam):
                 if a and b:
                     total += q_of(a) * q_of(b)
@@ -138,5 +143,5 @@ def test_split_identity():
 def test_split_identity_fails_for_singleton():
     # |lam| = 1 is a genuine exception: both sides are empty of content.
     lam = (1,)
-    total = q_of(halve(lam))
+    total = halved_q(lam)
     assert total == 0 != 2 * q_of(lam)

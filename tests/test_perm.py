@@ -74,40 +74,40 @@ def test_flip():
 
 
 def test_interleave_worked_example():
-    # w1 = (1 4)(2 5)(3), w2 = (6 9 7)(8 10), k = 5
-    w1 = (4, 5, 3, 1, 2, 6, 7, 8, 9, 10)
-    w2 = (1, 2, 3, 4, 5, 9, 6, 10, 7, 8)
-    w = interleave(w1, w2, 5)
+    # w1 = (1 4)(2 5)(3), w2 = (1 4 2)(3 5), k = 5; on the padded
+    # halves w2 is (6 9 7)(8 10)
+    w1 = (4, 5, 3, 1, 2)
+    w2 = (4, 1, 5, 2, 3)
+    w = interleave(w1, w2)
     assert w == (9, 10, 8, 6, 7, 1, 4, 2, 5, 3)
     # (6 1 9 5 7 4)(8 2 10 3)
     assert cycles_of(w) == [(1, 9, 5, 7, 4, 6), (2, 10, 3, 8)]
 
 
 def test_interleave_identities():
-    assert cycle_type(interleave(identity(4), identity(4), 2)) == (2, 2)
+    assert cycle_type(interleave(identity(2), identity(2))) == (2, 2)
 
 
-def test_interleave_support_checks():
-    interleave((2, 1, 3, 4), identity(4), 2)  # properly supported, fine
+def test_interleave_size_check():
+    assert interleave((2, 1), identity(2)) == (4, 3, 2, 1)
     with pytest.raises(ValueError):
-        interleave((1, 2, 4, 3), identity(4), 2)  # w1 touches the upper half
-    with pytest.raises(ValueError):
-        interleave(identity(4), (2, 1, 3, 4), 2)  # w2 touches the lower half
-    with pytest.raises(ValueError):
-        interleave(identity(4), identity(6), 2)
+        interleave(identity(2), identity(3))
 
 
 @given(st.integers(1, 6), st.randoms(use_true_random=False))
 def test_interleave_doubles_cycle_type(k, rng):
-    lower = list(range(1, k + 1))
-    upper = list(range(k + 1, 2 * k + 1))
-    rng.shuffle(lower)
-    rng.shuffle(upper)
-    w1 = tuple(lower) + identity(2 * k)[k:]
-    w2 = identity(k) + tuple(upper)
-    w = interleave(w1, w2, k)
-    restricted = cycle_type(tuple(v - k for v in upper))
-    assert cycle_type(w) == tuple(sorted((2 * c for c in restricted), reverse=True))
+    w1 = list(range(1, k + 1))
+    w2 = list(range(1, k + 1))
+    rng.shuffle(w1)
+    rng.shuffle(w2)
+    w = interleave(tuple(w1), tuple(w2))
+    assert cycle_type(w) == tuple(sorted((2 * c for c in cycle_type(tuple(w2))), reverse=True))
+    # the same permutation as pi o w1 o pi o w1^-1 o pi o w2 on the
+    # padded halves
+    w1e = tuple(w1) + identity(2 * k)[k:]
+    w2e = identity(k) + tuple(v + k for v in w2)
+    pi = flip(k)
+    assert w == compose(pi, compose(w1e, compose(pi, compose(inverse(w1e), compose(pi, w2e)))))
 
 
 def canonical_perm(lam):

@@ -5,17 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from tanglekit.counting import chain_count
+from tanglekit import sample
+from tanglekit.counting import chain_count, tanglegram_count, tree_count
 from tanglekit.partition import binary_partitions, q_of, z_of
 from tanglekit.perm import compose, cycle_type, identity, inverse
+from tanglekit.oracle import AUT_CAP, automorphism_group, canonical_chain_rep, canonical_rep
 from tanglekit.sample import (
-    ORACLE_CAP,
     _lam_step,
     TangledChain,
     Tanglegram,
-    automorphism_group,
-    canonical_chain_rep,
-    canonical_rep,
     cherry_statistics,
     random_automorphism,
     random_chain,
@@ -261,7 +259,7 @@ def test_canonical_rep_counts_classes_exhaustively():
 
 def test_canonical_rep_cap():
     rng = random.Random(62)
-    tg = random_tanglegram(ORACLE_CAP + 1, rng)
+    tg = random_tanglegram(AUT_CAP + 1, rng)
     with pytest.raises(ValueError):
         canonical_rep(tg)
 
@@ -276,6 +274,100 @@ def test_canonical_chain_rep_invariant():
         for i, m in enumerate(ch.matchings):
             moved.append(compose(ts[i], compose(m, inverse(ts[i + 1]))))
         assert canonical_chain_rep(TangledChain(ch.trees, tuple(moved))) == rep
+
+
+# ----------------------------------------------------- exact uniformity
+
+class _Replay:
+    """Stands in for the rng, and through it for sample._pick: each draw
+    takes the branch that the path names, or the first possible branch
+    past the path's end, and records the exact probability of every
+    branch it had.  shuffle is Fisher-Yates on randrange."""
+
+    def __init__(self, path):
+        self.path = path
+        self.probs = []
+
+    def _branch(self, probs):
+        i = len(self.probs)
+        self.probs.append(probs)
+        if i == len(self.path):
+            self.path.append(next(j for j, p in enumerate(probs) if p))
+        return self.path[i]
+
+    def pick(self, cum):
+        return self._branch([Fraction(c - prev, cum[-1])
+                             for prev, c in zip([0] + cum, cum)])
+
+    def randrange(self, n):
+        return self._branch([Fraction(1, n)] * n)
+
+    def shuffle(self, x):
+        for i in reversed(range(1, len(x))):
+            j = self.randrange(i + 1)
+            x[i], x[j] = x[j], x[i]
+
+
+def _exact_distribution(draw, monkeypatch):
+    """The exact output distribution of draw(rng): the sampler is re-run
+    once per path through its choice tree, and each output collects the
+    product of its path's branch probabilities."""
+    monkeypatch.setattr(sample, "_pick", lambda cum, rng: rng.pick(cum))
+    out = {}
+    path = []
+    while True:
+        rep = _Replay(path)
+        obj = draw(rep)
+        assert len(rep.probs) == len(path)
+        p = Fraction(1)
+        for probs, i in zip(rep.probs, path):
+            p *= probs[i]
+        out[obj] = out.get(obj, 0) + p
+        # advance the deepest draw that has a further possible branch
+        while path:
+            probs = rep.probs[len(path) - 1]
+            nxt = next((j for j in range(path[-1] + 1, len(probs)) if probs[j]), None)
+            if nxt is not None:
+                path[-1] = nxt
+                break
+            path.pop()
+        if not path:
+            return out
+
+
+def test_exact_uniform_tanglegrams(monkeypatch):
+    for n in range(1, 5):
+        dist = _exact_distribution(lambda r: canonical_rep(random_tanglegram(n, r)),
+                                   monkeypatch)
+        assert len(dist) == tanglegram_count(n)
+        assert set(dist.values()) == {Fraction(1, tanglegram_count(n))}, n
+
+
+def test_exact_uniform_trees(monkeypatch):
+    for n in range(1, 9):
+        dist = _exact_distribution(lambda r: random_tree(n, r), monkeypatch)
+        assert set(dist) == set(enumerate_trees(n))
+        assert set(dist.values()) == {Fraction(1, tree_count(n))}, n
+
+
+def test_exact_uniform_chains(monkeypatch):
+    for n in range(1, 4):
+        dist = _exact_distribution(lambda r: canonical_chain_rep(random_chain(3, n, r)),
+                                   monkeypatch)
+        assert len(dist) == chain_count(3, n)
+        assert set(dist.values()) == {Fraction(1, chain_count(3, n))}, n
+
+
+def test_exact_tree_and_perm_lemma(monkeypatch):
+    # every (T, w) with w in A(T) of cycle type lam is hit with
+    # probability exactly 1/(|A(T)| q(lam))
+    for n in range(1, 7):
+        for lam in binary_partitions(n):
+            dist = _exact_distribution(lambda r: random_tree_and_perm(lam, r), monkeypatch)
+            assert set(dist) == {(t, w) for t in enumerate_trees(n)
+                                 for w in automorphism_group(t) if cycle_type(w) == lam}
+            for (t, _), p in dist.items():
+                assert p == 1 / (aut_size(t) * q_of(lam)), (lam, t)
 
 
 # ------------------------------------------------------------ containers
