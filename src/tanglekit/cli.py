@@ -5,19 +5,21 @@ Subcommands:
     count tanglegrams --n N [--method recurrence|direct|mu]
     count trees       --n N [--method direct|oracle]
     count chains      --k K --n N [--method recurrence|direct]
-    sample tanglegram|tree|chain --n N [--k K] --seed S --count C [--format json|text]
+    sample tanglegram|tree --n N --seed S --count C [--format json|text]
+    sample chain --n N [--k K] --seed S --count C [--format json|text]
     asym  --n N --terms T --family a|b [--precision BITS]
     const f-quarter [--precision BITS]
     stats cherries --n N --samples M --seed S
     stats pattern --pattern "((..).)" --n N --samples M --seed S
-    oracle tanglegrams --n N [--unordered] [--list] [--allow-slow]
+    oracle tanglegrams --n N [--list] [--allow-slow]
+    oracle tanglegrams --n N --unordered
     table paper
 
 Counts print as full decimal integers.  Samples print one object per
 line; JSON keys are emitted in a fixed order, and a fixed seed gives
 byte-identical output across runs.  The first method listed is the
-default.  Exit codes: 0 success, 2 usage error or rejected argument,
-3 cap exceeded.
+default.  A flag given where it does not apply is a usage error.  Exit
+codes: 0 success, 2 usage error or rejected argument, 3 cap exceeded.
 """
 
 import argparse
@@ -133,6 +135,8 @@ def _cmd_count(args):
     method = args.method or next(iter(routes))
     if args.what == "chains" and args.k is None:
         raise _UsageError("chains need --k")
+    if args.what != "chains" and args.k is not None:
+        raise _UsageError("--k applies to chains only")
     if method not in routes:
         raise _UsageError("%s methods are %s" % (args.what, ", ".join(routes)))
     print_count(routes[method](args))
@@ -151,6 +155,8 @@ def _format_text(obj):
 
 
 def _cmd_sample(args):
+    if args.k is not None and args.what != "chain":
+        raise _UsageError("--k applies to chains only")
     rng = random.Random(args.seed)
     for _ in range(args.count):
         if args.what == "tanglegram":
@@ -196,6 +202,8 @@ def _cmd_stats(args):
             pattern = tree.parse(args.pattern)
         except ValueError as e:
             raise _UsageError("bad pattern (%s); write trees like ((..).)" % e)
+    elif args.pattern is not None:
+        raise _UsageError("--pattern applies to stats pattern only")
     else:
         pattern = None
     rng = random.Random(args.seed)
@@ -206,6 +214,8 @@ def _cmd_stats(args):
 
 def _cmd_oracle(args):
     if args.unordered:
+        if args.list_classes or args.allow_slow:
+            raise _UsageError("--list and --allow-slow do not apply with --unordered")
         print(oracle.brute_unordered_count(args.n))
         return 0
     reps = oracle.brute_tanglegrams(args.n, allow_slow=args.allow_slow)

@@ -22,8 +22,8 @@ from math import lcm
 
 from .counting import level_r, level_terms
 from .partition import q_of, split_pairs
-from .perm import compose, flip, interleave, sample_conjugator
-from .tree import LEAF, compare, node
+from .perm import interleave, sample_conjugator
+from .tree import LEAF, count_occurrences, node, symmetry_count
 
 
 class Tanglegram:
@@ -109,18 +109,17 @@ def random_automorphism(t, rng):
     """Uniform element of A(t), as a leaf permutation.
 
     Children are sampled recursively and concatenated; at a vertex whose
-    two child subtrees coincide the result is pre-composed with the flip
-    of the two halves with probability 1/2.
+    two child subtrees coincide the two halves are swapped with
+    probability 1/2.
     """
     if t.is_leaf:
         return (1,)
     k = t.left.leaves
     w1 = random_automorphism(t.left, rng)
     w2 = random_automorphism(t.right, rng)
-    w = w1 + tuple(v + k for v in w2)
     if t.left == t.right and rng.randrange(2):
-        w = compose(flip(k), w)
-    return w
+        return tuple(v + k for v in w1) + w2
+    return w1 + tuple(v + k for v in w2)
 
 
 # Categorical draws.  Weights are Fractions; putting them over their
@@ -166,10 +165,10 @@ def random_tree_and_perm(parts, rng):
     hit with probability exactly 1/(|A(T)| * q(parts)).
 
     A nonempty split (lam1, lam2) builds the two subtrees recursively
-    and swaps them into canonical order (carrying the permutations
-    along); the halved option builds one subtree T1 with a permutation
-    of type parts/2, doubles the tree, and interleaves so the two copies
-    are swapped by w.
+    and joins them with node, which puts them in canonical order; the
+    permutations follow their subtrees.  The halved option builds one
+    subtree T1 with a permutation of type parts/2, doubles the tree, and
+    interleaves so the two copies are swapped by w.
     """
     if not parts:
         raise ValueError("empty partition")
@@ -185,10 +184,11 @@ def random_tree_and_perm(parts, rng):
     a, b = option
     t1, w1 = random_tree_and_perm(a, rng)
     t2, w2 = random_tree_and_perm(b, rng)
-    if compare(t1, t2) < 0:
-        t1, t2, w1, w2 = t2, t1, w2, w1
-    k = t1.leaves
-    return node(t1, t2), w1 + tuple(v + k for v in w2)
+    t = node(t1, t2)
+    if t.left is not t1:
+        w1, w2 = w2, w1
+    k = t.left.leaves
+    return t, w1 + tuple(v + k for v in w2)
 
 
 # The draw of lam walks the level recurrence of counting.py top down,
@@ -270,26 +270,22 @@ def random_chain(k, n, rng):
 def cherry_statistics(n, samples, rng, pattern=None):
     """Sample statistics of the left tree of uniform tanglegrams.
 
-    With no pattern, counts cherries; with a pattern tree, counts
-    occurrences of that shape.  The reference value is the conjectured
-    limit mean n/2^(l+k-1) for a pattern with l leaves and k
+    With no pattern, counts cherries (the pattern (..)); with a pattern
+    tree, counts occurrences of that shape.  The reference value is the
+    conjectured limit mean n/2^(l+k-1) for a pattern with l leaves and k
     symmetries, which is n/4 for a cherry.
     """
-    from .tree import cherries, count_occurrences, symmetry_count
-
     if pattern is None:
         name = "cherries"
-        stat = cherries
-        reference = n / 4
+        pattern = node(LEAF, LEAF)
     else:
         name = "pattern " + pattern.key
-        stat = lambda t: count_occurrences(pattern, t)
-        reference = n / 2 ** (pattern.leaves + symmetry_count(pattern) - 1)
+    reference = n / 2 ** (pattern.leaves + symmetry_count(pattern) - 1)
     hist = {}
     total = 0
     total_sq = 0
     for _ in range(samples):
-        v = stat(random_tanglegram(n, rng).left)
+        v = count_occurrences(pattern, random_tanglegram(n, rng).left)
         hist[v] = hist.get(v, 0) + 1
         total += v
         total_sq += v * v

@@ -4,9 +4,11 @@ A tree is either a leaf or an ordered pair of trees.  Two trees are
 equivalent when one can be turned into the other by swapping children at
 internal vertices; we work with one canonical representative per class,
 the one in which every left subtree compares >= the right subtree.
-Isomorphism testing is then string equality of the canonical
+Trees are immutable values that compare equal by their canonical
+string, so isomorphism testing is string equality of the canonical
 serialization: "." for a leaf, "(" + left + right + ")" for an internal
-vertex, so the 3-leaf tree prints as "((..).)".
+vertex, so the 3-leaf tree prints as "((..).)".  node() is the one
+place that puts children in canonical order.
 
 Leaves are implicitly numbered 1..n by depth-first traversal that visits
 the left (greater or equal) subtree first; all permutation work in
@@ -14,8 +16,6 @@ perm.py and sample.py uses that labeling.
 """
 
 from functools import lru_cache
-
-_intern = {}
 
 
 class CapError(ValueError):
@@ -46,7 +46,7 @@ class Tree:
         return self.key
 
 
-LEAF = _intern.setdefault(".", Tree(None, None, 1, "."))
+LEAF = Tree(None, None, 1, ".")
 
 
 def node(left, right):
@@ -54,17 +54,12 @@ def node(left, right):
     The caller may pass the children either way around."""
     if compare(left, right) < 0:
         left, right = right, left
-    key = "(" + left.key + right.key + ")"
-    cached = _intern.get(key)
-    if cached is not None:
-        return cached
-    return _intern.setdefault(key, Tree(left, right, left.leaves + right.leaves, key))
+    return Tree(left, right, left.leaves + right.leaves, "(" + left.key + right.key + ")")
 
 
 def parse(s):
     """Inverse of the canonical serialization.  Raises ValueError on a
-    string that is not a tree; nesting depth is limited only where two
-    deep subtrees of equal size must be compared."""
+    string that is not a tree.  Nesting depth is not limited."""
     frames = [[]]  # children read so far, one list per open "("
     for pos, ch in enumerate(s):
         if ch == "(":
@@ -73,11 +68,7 @@ def parse(s):
         if ch == ".":
             t = LEAF
         elif ch == ")" and len(frames) > 1 and len(frames[-1]) == 2:
-            try:
-                t = node(*frames.pop())
-            except RecursionError:
-                raise ValueError("subtrees at position %d nested too deeply to compare"
-                                 % pos) from None
+            t = node(*frames.pop())
         else:
             raise ValueError("malformed tree string at position %d" % pos)
         frames[-1].append(t)
@@ -90,15 +81,20 @@ def parse(s):
 
 def compare(a, b):
     """Total order: more leaves first, ties broken by (left, right)
-    lexicographically under the same order.  Returns -1, 0 or 1."""
-    if a.key == b.key:
-        return 0
-    if a.leaves != b.leaves:
-        return -1 if a.leaves < b.leaves else 1
-    c = compare(a.left, b.left)
-    if c:
-        return c
-    return compare(a.right, b.right)
+    lexicographically under the same order.  Returns -1, 0 or 1.  A loop
+    that descends left and keeps the right pairs still to compare on a
+    stack, so depth is not limited."""
+    stack = []
+    while True:
+        if a.key != b.key:
+            if a.leaves != b.leaves:
+                return -1 if a.leaves < b.leaves else 1
+            stack.append((a.right, b.right))
+            a, b = a.left, b.left
+        elif stack:
+            a, b = stack.pop()
+        else:
+            return 0
 
 
 DEFAULT_CAP = 20
@@ -134,21 +130,17 @@ def enumerate_trees(n, cap=DEFAULT_CAP):
     return _all_trees(n)
 
 
-@lru_cache(maxsize=None)
 def aut_size(t):
-    """Order of the automorphism group: product over children, doubled
-    whenever the two child subtrees coincide."""
-    if t.is_leaf:
-        return 1
-    a = aut_size(t.left) * aut_size(t.right)
-    return 2 * a if t.left == t.right else a
+    """Order of the automorphism group: each vertex whose two child
+    subtrees coincide contributes one independent swap, so it is 2 to
+    the number of such vertices."""
+    return 1 << symmetry_count(t)
 
 
 def _merge(mu, nu):
     return tuple(sorted(mu + nu, reverse=True))
 
 
-@lru_cache(maxsize=None)
 def cycle_type_table(t):
     """dict mapping each binary partition lam of leaves(t) to the number
     of automorphisms of t whose induced leaf permutation has cycle type
@@ -162,7 +154,7 @@ def cycle_type_table(t):
     if t.is_leaf:
         return {(1,): 1}
     ta = cycle_type_table(t.left)
-    tb = cycle_type_table(t.right)
+    tb = ta if t.left == t.right else cycle_type_table(t.right)
     out = {}
     for mu, cm in ta.items():
         for nu, cn in tb.items():
@@ -177,22 +169,18 @@ def cycle_type_table(t):
     return out
 
 
-def cherries(t):
-    """Number of internal vertices whose both children are leaves."""
-    if t.is_leaf:
-        return 0
-    if t.left.is_leaf and t.right.is_leaf:
-        return 1
-    return cherries(t.left) + cherries(t.right)
-
-
 def count_occurrences(pattern, t):
     """Number of vertices of t whose full rooted subtree is isomorphic
-    to pattern."""
-    hit = 1 if t == pattern else 0
-    if t.is_leaf:
-        return hit
-    return hit + count_occurrences(pattern, t.left) + count_occurrences(pattern, t.right)
+    to pattern.  Subtrees with fewer leaves than pattern are skipped."""
+    count = 0
+    stack = [t]
+    while stack:
+        v = stack.pop()
+        if v.leaves > pattern.leaves:
+            stack += (v.left, v.right)
+        elif v.leaves == pattern.leaves:
+            count += v == pattern
+    return count
 
 
 def symmetry_count(t):

@@ -56,6 +56,13 @@ def test_usage_errors(capsys):
         ["stats", "pattern", "--pattern", "(..)xyz", "--n", "6",
          "--samples", "10", "--seed", "1"],
         ["count", "tanglegrams", "--n", "1", "--method", "mu"],  # rejected argument, not a cap
+        # flags that do not apply to the command
+        ["count", "tanglegrams", "--n", "4", "--k", "9"],
+        ["sample", "tree", "--n", "3", "--k", "5", "--seed", "1", "--count", "1"],
+        ["stats", "cherries", "--pattern", "((..).)", "--n", "6",
+         "--samples", "10", "--seed", "1"],
+        ["oracle", "tanglegrams", "--n", "4", "--unordered", "--list"],
+        ["oracle", "tanglegrams", "--n", "4", "--unordered", "--allow-slow"],
         ["--bogus"],
     ]
     for argv in bad:
@@ -78,20 +85,21 @@ def test_count_prints_past_digit_limit(capsys):
     assert get_limit() == limit
 
 
-def test_deep_pattern_answers_or_exits_2(capsys):
+def test_deep_pattern_answers(capsys):
     # a caterpillar nested 1500 deep parses and is answered
     deep = "(" * 1500 + "..)" + ".)" * 1499
     assert run(["stats", "pattern", "--pattern", deep, "--n", "6",
                 "--samples", "5", "--seed", "1"]) == 0
     d = json.loads(out_of(capsys))
     assert d["mean"] == 0.0
-    # two deep subtrees of equal size are compared recursively; past the
-    # recursion limit that is a clean usage error, not a traceback
+    # so is a pattern whose two equal-size subtrees differ only 1200
+    # levels down
     spine = lambda bottom: "(" * 1200 + bottom + ".)" * 1200
     wide = "(" + spine("((..)(..))") + spine("(((..).).)") + ")"
     assert run(["stats", "pattern", "--pattern", wide, "--n", "6",
-                "--samples", "5", "--seed", "1"]) in (0, 2)
-    assert "Traceback" not in capsys.readouterr().err
+                "--samples", "5", "--seed", "1"]) == 0
+    d = json.loads(out_of(capsys))
+    assert d["mean"] == 0.0 and d["statistic"] == "pattern " + parse(wide).key
 
 
 def test_sample_deterministic(capsys):

@@ -21,7 +21,7 @@ from tanglekit.sample import (
     random_tree,
     random_tree_and_perm,
 )
-from tanglekit.tree import LEAF, aut_size, cherries, enumerate_trees, node, parse
+from tanglekit.tree import LEAF, aut_size, enumerate_trees, node, parse
 
 CHERRY = node(LEAF, LEAF)
 BAL4 = node(CHERRY, CHERRY)
@@ -76,7 +76,7 @@ def test_tree_and_perm_trivial_cases():
     assert random_tree_and_perm((1,), rng) == (LEAF, (1,))
     for _ in range(20):
         t, w = random_tree_and_perm((2,), rng)
-        assert t is CHERRY and w == (2, 1)
+        assert t == CHERRY and w == (2, 1)
 
 
 def test_tree_and_perm_empty_partition_rejected():
@@ -105,7 +105,7 @@ def test_tree_and_perm_identity_marginal_n4():
     rng = random.Random(24)
     draws = 5000
     hits = sum(
-        random_tree_and_perm((1, 1, 1, 1), rng)[0] is BAL4 for _ in range(draws))
+        random_tree_and_perm((1, 1, 1, 1), rng)[0] == BAL4 for _ in range(draws))
     lo, hi = band(draws, 1 / 5)
     assert lo < hits < hi
 
@@ -183,7 +183,7 @@ def test_random_tanglegram_uniform_n4():
 
 def test_random_tree_uniform():
     rng = random.Random(41)
-    assert random_tree(3, rng) is parse("((..).)")
+    assert random_tree(3, rng) == parse("((..).)")
     draws = 6000
     counts = Counter(random_tree(6, rng) for _ in range(draws))
     assert len(counts) == 6
@@ -201,7 +201,7 @@ def test_random_chain_single_tree_matches_tree_sampler():
     for _ in range(draws):
         ch = random_chain(1, 4, rng)
         assert ch.k == 1 and ch.matchings == ()
-        hits += ch.trees[0] is BAL4
+        hits += ch.trees[0] == BAL4
     lo, hi = band(draws, 0.5)
     assert lo < hits < hi
 

@@ -1,6 +1,8 @@
+import gc
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,6 @@ from tanglekit.partition import binary_partitions, q_of
 from tanglekit.tree import (
     LEAF,
     aut_size,
-    cherries,
     compare,
     count_occurrences,
     cycle_type_table,
@@ -62,6 +63,35 @@ def test_parse_deep():
     t = parse(deep)
     assert t.leaves == 1501 and t.key == deep
     assert symmetry_count(t) == 1
+    assert aut_size(t) == 2
+    assert count_occurrences(CHERRY, t) == 1
+
+
+def test_parse_two_deep_spines():
+    # the two children have equal size and differ only 1200 levels down,
+    # so putting them in canonical order compares past the recursion limit
+    spine = lambda bottom: "(" * 1200 + bottom + ".)" * 1200
+    t = parse("(" + spine("((..)(..))") + spine("(((..).).)") + ")")
+    assert t.left.key == spine("(((..).).)")
+    assert t.right.key == spine("((..)(..))")
+    assert compare(t.left, t.right) == 1
+
+
+def test_parse_retains_nothing():
+    # a dropped tree leaves no table of its subtrees behind; the bottom
+    # (a 3-caterpillar plus a cherry) keeps every subtree new to the process
+    deep = "(" * 1200 + "(((..).)(..))" + ".)" * 1200
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        t = parse(deep)
+        assert t.leaves == 1205
+        del t
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 500_000, retained
 
 
 def test_parse_checks_survive_optimize():
@@ -164,20 +194,20 @@ def test_type_sum_identity():
 
 
 def test_cherries():
-    assert cherries(LEAF) == 0
-    assert cherries(CHERRY) == 1
-    assert cherries(BAL4) == 2
+    assert count_occurrences(CHERRY, LEAF) == 0
+    assert count_occurrences(CHERRY, CHERRY) == 1
+    assert count_occurrences(CHERRY, BAL4) == 2
     for n in range(2, 9):
-        assert cherries(caterpillar(n)) == 1
-    assert cherries(balanced(3)) == 4
+        assert count_occurrences(CHERRY, caterpillar(n)) == 1
+    assert count_occurrences(CHERRY, balanced(3)) == 4
 
 
 def test_count_occurrences():
     assert count_occurrences(CHERRY, BAL4) == 2
-    assert count_occurrences(CHERRY, BAL4) == cherries(BAL4)
     for t in enumerate_trees(6):
         assert count_occurrences(LEAF, t) == 6
-        assert count_occurrences(CHERRY, t) == cherries(t)
+        # a cherry is exactly a "(..)" in the canonical string
+        assert count_occurrences(CHERRY, t) == t.key.count("(..)")
     assert count_occurrences(BAL4, balanced(3)) == 2
     assert count_occurrences(balanced(3), BAL4) == 0
 
