@@ -109,7 +109,8 @@ def f_fixed_point(precision=200):
 
 def generator_weight_sum(n, cap=DEFAULT_CAP):
     """sum over trees T with n leaves of 4^-(leaves + symmetry_count(T)),
-    exact.  Reported next to f(1/4) for comparison; no convergence is
+    exact.  Summed over n = 1, 2, ... these partial sums increase
+    toward f(1/4) of f_fixed_point from below; no convergence is
     asserted."""
     total = Fraction(0)
     for t in enumerate_trees(n, cap=cap):

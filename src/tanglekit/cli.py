@@ -3,10 +3,11 @@
 Subcommands:
 
     count tanglegrams --n N [--method recurrence|direct|mu]
-    count trees       --n N [--method direct|oracle]
+    count trees       --n N [--method recurrence|direct|oracle]
     count chains      --k K --n N [--method recurrence|direct]
-    sample tanglegram|tree --n N --seed S --count C [--format json|text]
-    sample chain --n N [--k K] --seed S --count C [--format json|text]
+    sample tanglegram --n N --seed S --count C [--format json|text]
+    sample tree       --n N --seed S --count C [--format json|text]
+    sample chain      --n N [--k K] --seed S --count C [--format json|text]
     asym  --n N --terms T --family a|b [--precision BITS]
     const f-quarter [--precision BITS]
     stats cherries --n N --samples M --seed S
@@ -18,22 +19,21 @@ Subcommands:
 Counts print as full decimal integers.  Samples print one object per
 line; JSON keys are emitted in a fixed order, and a fixed seed gives
 byte-identical output across runs.  The first method listed is the
-default.  A flag given where it does not apply is a usage error.  Exit
-codes: 0 success, 2 usage error or rejected argument, 3 cap exceeded.
+default, and sampled chains have three trees unless --k says otherwise.
+Each form takes only the flags shown on its line; any other flag is a
+usage error.  Exit codes: 0 success, 2 usage error or rejected
+argument, 3 cap exceeded.
 """
 
 import argparse
 import json
 import random
 import sys
+from functools import lru_cache
 
 from mpmath import mp, mpf, nstr
 
 from . import asym, counting, oracle, sample, tree
-
-
-class _UsageError(Exception):
-    pass
 
 
 def _positive(s):
@@ -43,9 +43,9 @@ def _positive(s):
     return v
 
 
-# Count routes per object, the default first: the level recurrence
-# where it exists, since it scales to n in the thousands; direct stays
-# as a cross-check.  The lambdas look counting.* up at call time, so
+# Count routes per object, the default first: the level recurrence,
+# since it scales to n in the thousands; the others stay as
+# cross-checks.  The lambdas look counting.* up at call time, so
 # wrappers put on the module's functions see every call.
 _COUNT_ROUTES = {
     "tanglegrams": {
@@ -54,6 +54,7 @@ _COUNT_ROUTES = {
         "mu": lambda a: counting.tanglegram_count_mu(a.n),
     },
     "trees": {
+        "recurrence": lambda a: counting.chain_count_rec(1, a.n),
         "direct": lambda a: counting.tree_count(a.n),
         "oracle": lambda a: counting.tree_count_oracle(a.n),
     },
@@ -64,24 +65,35 @@ _COUNT_ROUTES = {
 }
 
 
+@lru_cache(maxsize=1)
 def _build_parser():
+    """The argument parser, built once per process: a warm run of a
+    memoized count costs less than building its sub-parsers."""
     ap = argparse.ArgumentParser(prog="tanglekit")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
+    # count, sample and stats take one sub-parser per form, so each
+    # form accepts only its own flags.
     p = sub.add_parser("count", help="exact counts")
-    p.add_argument("what", choices=list(_COUNT_ROUTES))
-    p.add_argument("--n", type=_positive, required=True)
-    p.add_argument("--k", type=_positive, default=None)
-    p.add_argument("--method", default=None,
-                   choices=list(dict.fromkeys(m for r in _COUNT_ROUTES.values() for m in r)))
+    forms = p.add_subparsers(dest="what", required=True)
+    for what, routes in _COUNT_ROUTES.items():
+        p = forms.add_parser(what)
+        if what == "chains":
+            p.add_argument("--k", type=_positive, required=True)
+        p.add_argument("--n", type=_positive, required=True)
+        p.add_argument("--method", choices=list(routes), default=next(iter(routes)))
 
+    sample_flags = argparse.ArgumentParser(add_help=False)
+    sample_flags.add_argument("--n", type=_positive, required=True)
+    sample_flags.add_argument("--seed", type=int, required=True)
+    sample_flags.add_argument("--count", type=_positive, required=True)
+    sample_flags.add_argument("--format", default="json", choices=["json", "text"])
     p = sub.add_parser("sample", help="uniform random objects")
-    p.add_argument("what", choices=["tanglegram", "tree", "chain"])
-    p.add_argument("--n", type=_positive, required=True)
-    p.add_argument("--k", type=_positive, default=None)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--count", type=_positive, required=True)
-    p.add_argument("--format", default="json", choices=["json", "text"])
+    forms = p.add_subparsers(dest="what", required=True)
+    forms.add_parser("tanglegram", parents=[sample_flags])
+    forms.add_parser("tree", parents=[sample_flags])
+    forms.add_parser("chain", parents=[sample_flags]).add_argument(
+        "--k", type=_positive, default=3)
 
     p = sub.add_parser("asym", help="asymptotic approximations of the tanglegram count")
     p.add_argument("--n", type=_positive, required=True)
@@ -93,12 +105,15 @@ def _build_parser():
     p.add_argument("name", choices=["f-quarter"])
     p.add_argument("--precision", type=_positive, default=200)
 
+    stats_flags = argparse.ArgumentParser(add_help=False)
+    stats_flags.add_argument("--n", type=_positive, required=True)
+    stats_flags.add_argument("--samples", type=_positive, required=True)
+    stats_flags.add_argument("--seed", type=int, required=True)
     p = sub.add_parser("stats", help="sampled statistics of random tanglegrams")
-    p.add_argument("what", choices=["cherries", "pattern"])
-    p.add_argument("--pattern", default=None)
-    p.add_argument("--n", type=_positive, required=True)
-    p.add_argument("--samples", type=_positive, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    forms = p.add_subparsers(dest="what", required=True)
+    forms.add_parser("cherries", parents=[stats_flags]).set_defaults(pattern=None)
+    forms.add_parser("pattern", parents=[stats_flags]).add_argument(
+        "--pattern", type=tree.parse, required=True, metavar="TREE")
 
     p = sub.add_parser("oracle", help="brute-force enumeration")
     p.add_argument("what", choices=["tanglegrams"])
@@ -131,19 +146,12 @@ def print_count(value):
 
 
 def _cmd_count(args):
-    routes = _COUNT_ROUTES[args.what]
-    method = args.method or next(iter(routes))
-    if args.what == "chains" and args.k is None:
-        raise _UsageError("chains need --k")
-    if args.what != "chains" and args.k is not None:
-        raise _UsageError("--k applies to chains only")
-    if method not in routes:
-        raise _UsageError("%s methods are %s" % (args.what, ", ".join(routes)))
-    print_count(routes[method](args))
+    print_count(_COUNT_ROUTES[args.what][args.method](args))
     return 0
 
 
 def _format_text(obj):
+    # a Tanglegram is also a TangledChain, so it is tested first
     if isinstance(obj, sample.Tanglegram):
         return "%s %s %s" % (obj.left.key, obj.right.key,
                              ",".join(str(v) for v in obj.matching))
@@ -155,8 +163,6 @@ def _format_text(obj):
 
 
 def _cmd_sample(args):
-    if args.k is not None and args.what != "chain":
-        raise _UsageError("--k applies to chains only")
     rng = random.Random(args.seed)
     for _ in range(args.count):
         if args.what == "tanglegram":
@@ -164,15 +170,13 @@ def _cmd_sample(args):
         elif args.what == "tree":
             obj = sample.random_tree(args.n, rng)
         else:
-            k = args.k if args.k is not None else 3
-            obj = sample.random_chain(k, args.n, rng)
-        if args.format == "json":
-            if args.what == "tree":
-                print(json.dumps({"n": args.n, "tree": obj.key}))
-            else:
-                print(json.dumps(obj.to_json()))
-        else:
+            obj = sample.random_chain(args.k, args.n, rng)
+        if args.format == "text":
             print(_format_text(obj))
+        elif args.what == "tree":
+            print(json.dumps({"n": args.n, "tree": obj.key}))
+        else:
+            print(json.dumps(obj.to_json()))
     return 0
 
 
@@ -195,27 +199,15 @@ def _cmd_const(args):
 
 
 def _cmd_stats(args):
-    if args.what == "pattern":
-        if not args.pattern:
-            raise _UsageError("stats pattern needs --pattern")
-        try:
-            pattern = tree.parse(args.pattern)
-        except ValueError as e:
-            raise _UsageError("bad pattern (%s); write trees like ((..).)" % e)
-    elif args.pattern is not None:
-        raise _UsageError("--pattern applies to stats pattern only")
-    else:
-        pattern = None
     rng = random.Random(args.seed)
-    summary = sample.cherry_statistics(args.n, args.samples, rng, pattern=pattern)
-    print(json.dumps(summary))
+    print(json.dumps(sample.cherry_statistics(args.n, args.samples, rng, pattern=args.pattern)))
     return 0
 
 
 def _cmd_oracle(args):
     if args.unordered:
         if args.list_classes or args.allow_slow:
-            raise _UsageError("--list and --allow-slow do not apply with --unordered")
+            raise ValueError("--list and --allow-slow do not apply with --unordered")
         print(oracle.brute_unordered_count(args.n))
         return 0
     reps = oracle.brute_tanglegrams(args.n, allow_slow=args.allow_slow)
@@ -268,7 +260,7 @@ def run(argv):
     except tree.CapError as e:
         print("error: %s" % e, file=sys.stderr)
         return 3
-    except (_UsageError, ValueError) as e:
+    except ValueError as e:
         print("usage error: %s" % e, file=sys.stderr)
         return 2
 

@@ -23,47 +23,15 @@ from math import lcm
 from .counting import level_r, level_terms
 from .partition import q_of, split_pairs
 from .perm import interleave, sample_conjugator
-from .tree import LEAF, count_occurrences, node, symmetry_count
-
-
-class Tanglegram:
-    """A pair of trees with a matching: leaf i of the left tree is tied
-    to leaf matching(i) of the right tree, leaves numbered by DFS."""
-
-    __slots__ = ("left", "right", "matching")
-
-    def __init__(self, left, right, matching):
-        if left.leaves != right.leaves or left.leaves != len(matching):
-            raise ValueError("leaf counts and matching size must agree")
-        if sorted(matching) != list(range(1, left.leaves + 1)):
-            raise ValueError("matching must be a permutation of 1..n")
-        self.left = left
-        self.right = right
-        self.matching = tuple(matching)
-
-    @property
-    def n(self):
-        return self.left.leaves
-
-    def __eq__(self, other):
-        return (isinstance(other, Tanglegram)
-                and self.left == other.left
-                and self.right == other.right
-                and self.matching == other.matching)
-
-    def __hash__(self):
-        return hash((self.left, self.right, self.matching))
-
-    def __repr__(self):
-        return "Tanglegram(%s, %s, %r)" % (self.left.key, self.right.key, list(self.matching))
-
-    def to_json(self):
-        return {"n": self.n, "left": self.left.key, "right": self.right.key,
-                "matching": list(self.matching)}
+from .tree import LEAF, count_occurrences, fold, node, symmetry_count
 
 
 class TangledChain:
-    """k trees in a row with a matching between each neighboring pair."""
+    """k trees in a row with a matching between each neighboring pair:
+    leaf i of trees[j] is tied to leaf matchings[j](i) of trees[j+1],
+    leaves numbered by DFS.  Two chains are equal when their trees and
+    matchings are, whatever their class, so a Tanglegram equals the
+    two-tree TangledChain with the same trees and matching."""
 
     __slots__ = ("trees", "matchings")
 
@@ -105,21 +73,42 @@ class TangledChain:
                 "matchings": [list(m) for m in self.matchings]}
 
 
+class Tanglegram(TangledChain):
+    """The two-tree chain: leaf i of the left tree is tied to leaf
+    matching(i) of the right tree."""
+
+    __slots__ = ()
+
+    def __init__(self, left, right, matching):
+        super().__init__((left, right), (matching,))
+
+    left = property(lambda self: self.trees[0])
+    right = property(lambda self: self.trees[1])
+    matching = property(lambda self: self.matchings[0])
+
+    def __repr__(self):
+        return "Tanglegram(%s, %s, %r)" % (self.left.key, self.right.key, list(self.matching))
+
+    def to_json(self):
+        return {"n": self.n, "left": self.left.key, "right": self.right.key,
+                "matching": list(self.matching)}
+
+
 def random_automorphism(t, rng):
     """Uniform element of A(t), as a leaf permutation.
 
-    Children are sampled recursively and concatenated; at a vertex whose
-    two child subtrees coincide the two halves are swapped with
-    probability 1/2.
+    The children's permutations are concatenated; at a vertex whose two
+    child subtrees coincide the two halves are swapped with probability
+    1/2.  The vertices are visited in post-order, so the swaps are drawn
+    left subtree first, then right subtree, then the vertex.
     """
-    if t.is_leaf:
-        return (1,)
-    k = t.left.leaves
-    w1 = random_automorphism(t.left, rng)
-    w2 = random_automorphism(t.right, rng)
-    if t.left == t.right and rng.randrange(2):
-        return tuple(v + k for v in w1) + w2
-    return w1 + tuple(v + k for v in w2)
+    def join(v, w1, w2):
+        k = v.left.leaves
+        if v.left == v.right and rng.randrange(2):
+            return tuple(x + k for x in w1) + w2
+        return w1 + tuple(x + k for x in w2)
+
+    return fold(t, (1,), join)
 
 
 # Categorical draws.  Weights are Fractions; putting them over their
@@ -236,43 +225,45 @@ def _draw_lam(n, k, rng):
     return tuple(parts)
 
 
-def random_tanglegram(n, rng):
-    """Uniform over all tanglegrams of size n."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    lam = _draw_lam(n, 2, rng)
-    left, u = random_tree_and_perm(lam, rng)
-    right, v = random_tree_and_perm(lam, rng)
-    w = sample_conjugator(u, v, rng)
-    return Tanglegram(left, right, w)
-
-
-def random_tree(n, rng):
-    """Uniform over the inequivalent binary trees with n leaves."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    lam = _draw_lam(n, 1, rng)
-    t, _ = random_tree_and_perm(lam, rng)
-    return t
-
-
-def random_chain(k, n, rng):
-    """Uniform over ordered tangled chains of length k on n leaves."""
+def _draw_chain(k, n, rng):
+    """Trees and matchings of a uniform tangled chain of length k on n
+    leaves: lam, then the k trees with their automorphisms of type lam,
+    then the k - 1 conjugators between neighbors."""
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
     lam = _draw_lam(n, k, rng)
     pairs = [random_tree_and_perm(lam, rng) for _ in range(k)]
     matchings = [sample_conjugator(pairs[i][1], pairs[i + 1][1], rng)
                  for i in range(k - 1)]
-    return TangledChain([p[0] for p in pairs], matchings)
+    return [t for t, _ in pairs], matchings
+
+
+def random_chain(k, n, rng):
+    """Uniform over ordered tangled chains of length k on n leaves."""
+    return TangledChain(*_draw_chain(k, n, rng))
+
+
+def random_tanglegram(n, rng):
+    """Uniform over all tanglegrams of size n."""
+    (left, right), (matching,) = _draw_chain(2, n, rng)
+    return Tanglegram(left, right, matching)
+
+
+def random_tree(n, rng):
+    """Uniform over the inequivalent binary trees with n leaves."""
+    (t,), _ = _draw_chain(1, n, rng)
+    return t
 
 
 def cherry_statistics(n, samples, rng, pattern=None):
     """Sample statistics of the left tree of uniform tanglegrams.
 
-    With no pattern, counts cherries (the pattern (..)); with a pattern
-    tree, counts occurrences of that shape.  The reference value is the
-    conjectured limit mean n/2^(l+k-1) for a pattern with l leaves and k
+    Only lam (drawn as for tanglegrams) and the left tree are drawn:
+    given lam the trees and the conjugator are independent, so the left
+    tree has the same law as in a whole tanglegram.  With no pattern,
+    counts cherries (the pattern (..)); with a pattern tree, counts
+    occurrences of that shape.  The reference value is the conjectured
+    limit mean n/2^(l+k-1) for a pattern with l leaves and k
     symmetries, which is n/4 for a cherry.
     """
     if pattern is None:
@@ -285,7 +276,8 @@ def cherry_statistics(n, samples, rng, pattern=None):
     total = 0
     total_sq = 0
     for _ in range(samples):
-        v = count_occurrences(pattern, random_tanglegram(n, rng).left)
+        left, _ = random_tree_and_perm(_draw_lam(n, 2, rng), rng)
+        v = count_occurrences(pattern, left)
         hist[v] = hist.get(v, 0) + 1
         total += v
         total_sq += v * v

@@ -141,6 +141,25 @@ def _merge(mu, nu):
     return tuple(sorted(mu + nu, reverse=True))
 
 
+def fold(t, leaf, join):
+    """The value of t computed bottom-up: `leaf` at every leaf, and
+    join(v, a, b) at an internal vertex v whose children have the
+    values a and b.  The vertices are joined in post-order, left
+    subtree first, by a loop, so depth is not limited."""
+    done = []  # values of the subtrees finished so far
+    stack = [(t, False)]
+    while stack:
+        v, children_done = stack.pop()
+        if v.is_leaf:
+            done.append(leaf)
+        elif children_done:
+            b = done.pop()
+            done.append(join(v, done.pop(), b))
+        else:
+            stack += ((v, True), (v.right, False), (v.left, False))
+    return done[0]
+
+
 def cycle_type_table(t):
     """dict mapping each binary partition lam of leaves(t) to the number
     of automorphisms of t whose induced leaf permutation has cycle type
@@ -151,22 +170,22 @@ def cycle_type_table(t):
     union of two child types (no swap) or the double 2*mu of a single
     child type mu (swap), each swap appearing aut_size(child) times.
     """
-    if t.is_leaf:
-        return {(1,): 1}
-    ta = cycle_type_table(t.left)
-    tb = ta if t.left == t.right else cycle_type_table(t.right)
-    out = {}
-    for mu, cm in ta.items():
-        for nu, cn in tb.items():
-            key = _merge(mu, nu)
-            out[key] = out.get(key, 0) + cm * cn
-    if t.left == t.right:
-        a = aut_size(t.left)
+    def join(v, ta, tb):
+        out = {}
         for mu, cm in ta.items():
-            key = tuple(sorted((2 * p for p in mu), reverse=True))
-            out[key] = out.get(key, 0) + a * cm
-    assert sum(out.values()) == aut_size(t)
-    return out
+            for nu, cn in tb.items():
+                key = _merge(mu, nu)
+                out[key] = out.get(key, 0) + cm * cn
+        if v.left == v.right:
+            a = aut_size(v.left)
+            for mu, cm in ta.items():
+                key = tuple(sorted((2 * p for p in mu), reverse=True))
+                out[key] = out.get(key, 0) + a * cm
+        return out
+
+    table = fold(t, {(1,): 1}, join)
+    assert sum(table.values()) == aut_size(t)
+    return table
 
 
 def count_occurrences(pattern, t):
@@ -185,11 +204,4 @@ def count_occurrences(pattern, t):
 
 def symmetry_count(t):
     """Number of internal vertices whose two child subtrees coincide."""
-    count = 0
-    stack = [t]
-    while stack:
-        v = stack.pop()
-        if not v.is_leaf:
-            count += v.left == v.right
-            stack += (v.left, v.right)
-    return count
+    return fold(t, 0, lambda v, a, b: a + b + (v.left == v.right))

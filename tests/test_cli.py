@@ -1,8 +1,13 @@
 import json
+import os
+import re
+import shlex
 import sys
 
 from tanglekit.cli import print_count, run
 from tanglekit.tree import parse
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
 def out_of(capsys):
@@ -27,6 +32,9 @@ def test_count_methods_agree(capsys):
     assert run(["count", "trees", "--n", "30", "--method", "oracle"]) == 0
     oracle_out = out_of(capsys)
     assert run(["count", "trees", "--n", "30"]) == 0
+    assert out_of(capsys) == oracle_out
+    # the tree default is the level recurrence; compare it with the direct sum too
+    assert run(["count", "trees", "--n", "30", "--method", "direct"]) == 0
     assert out_of(capsys) == oracle_out
     assert run(["count", "tanglegrams", "--n", "10"]) == 0
     assert out_of(capsys) == outs[0]
@@ -100,6 +108,17 @@ def test_deep_pattern_answers(capsys):
                 "--samples", "5", "--seed", "1"]) == 0
     d = json.loads(out_of(capsys))
     assert d["mean"] == 0.0 and d["statistic"] == "pattern " + parse(wide).key
+
+
+def test_readme_example(capsys):
+    # every "$ tanglekit ..." line of README's example block prints
+    # exactly the lines shown under it
+    with open(README, encoding="utf-8") as f:
+        examples = re.findall(r"^\$ tanglekit (.*)\n((?:(?![$`]).*\n)*)", f.read(), re.M)
+    assert len(examples) == 5
+    for argv, shown in examples:
+        assert run(shlex.split(argv)) == 0, argv
+        assert out_of(capsys) == shown, argv
 
 
 def test_sample_deterministic(capsys):

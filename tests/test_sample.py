@@ -400,6 +400,15 @@ def test_json_shapes():
     assert d["matchings"] == [[2, 1]]
 
 
+def test_tanglegram_is_two_tree_chain():
+    tg = Tanglegram(CAT4, BAL4, (2, 1, 4, 3))
+    ch = TangledChain((CAT4, BAL4), ((2, 1, 4, 3),))
+    assert isinstance(tg, TangledChain) and tg.k == 2 and tg.n == 4
+    assert tg == ch and ch == tg and hash(tg) == hash(ch)
+    assert tg != TangledChain((BAL4, CAT4), ((2, 1, 4, 3),))
+    assert repr(tg) == "Tanglegram(%s, %s, [2, 1, 4, 3])" % (CAT4.key, BAL4.key)
+
+
 # ------------------------------------------------------------ statistics
 
 def test_cherry_statistics_degenerate():

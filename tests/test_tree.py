@@ -1,14 +1,18 @@
 import gc
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 import tanglekit
+from tanglekit.counting import double_coset_count
 from tanglekit.partition import binary_partitions, q_of
+from tanglekit.sample import random_automorphism
 from tanglekit.tree import (
     LEAF,
     aut_size,
@@ -65,6 +69,11 @@ def test_parse_deep():
     assert symmetry_count(t) == 1
     assert aut_size(t) == 2
     assert count_occurrences(CHERRY, t) == 1
+    # its two automorphisms: the identity and the swap of the bottom cherry
+    assert cycle_type_table(t) == {(1,) * 1501: 1, (2,) + (1,) * 1499: 1}
+    assert double_coset_count(t, t) == (factorial(1501) + 2 * factorial(1499)) // 4
+    ident = tuple(range(1, 1502))
+    assert random_automorphism(t, random.Random(1)) in (ident, (2, 1) + ident[2:])
 
 
 def test_parse_two_deep_spines():
