@@ -38,7 +38,6 @@ def _leaf_sets(t, offset=0):
     return left + right + [left[-1] | right[-1]]
 
 
-@lru_cache(maxsize=None)
 def _vertex_family(t):
     sets = _leaf_sets(t)
     fam = frozenset(sets)
@@ -46,7 +45,7 @@ def _vertex_family(t):
     return fam
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 10)
 def brute_automorphisms(t):
     """All leaf permutations that fix the edge set of t, where every
     vertex is labeled by the set of leaf labels below it.

@@ -19,6 +19,7 @@ the sum of z^(k-1)*q^k is the number of tangled chains of length k.
 """
 
 from fractions import Fraction
+from itertools import accumulate, groupby
 
 
 def binary_partitions(n, max_part=None):
@@ -78,34 +79,33 @@ def q_of(lam):
     return Fraction(q_numerator(lam), z_of(lam))
 
 
-def split_pairs(parts):
+def split_pairs(parts, left=None):
     """Yield every ordered pair (mu, nu) of sub-multisets with
     mu + nu = parts, both halves allowed to be empty.
 
     A partition with multiplicities m_1, ..., m_r over its distinct
-    parts produces prod (m_i + 1) ordered splits.
+    parts produces prod (m_i + 1) ordered splits.  With `left`, only
+    the splits with |mu| = left are yielded; a branch is cut as soon as
+    the parts still to place cannot bring mu to that size.
     """
-    runs = []
-    i = 0
-    n = len(parts)
-    while i < n:
-        c = parts[i]
-        m = 1
-        while i + m < n and parts[i + m] == c:
-            m += 1
-        runs.append((c, m))
-        i += m
+    runs = [(c, len(list(g))) for c, g in groupby(parts)]
+    rest = list(accumulate(c * m for c, m in reversed(runs)))[::-1] + [0]
 
-    def rec(idx, left, right):
+    def rec(idx, left_sum, mu, nu):
         if idx == len(runs):
-            yield tuple(left), tuple(right)
+            yield tuple(mu), tuple(nu)
             return
         c, m = runs[idx]
-        for take in range(m + 1):
-            left.extend([c] * take)
-            right.extend([c] * (m - take))
-            yield from rec(idx + 1, left, right)
-            del left[len(left) - take:]
-            del right[len(right) - (m - take):]
+        takes = range(m + 1)
+        if left is not None:
+            # mu must reach `left` with the runs after this one, and not pass it
+            takes = range(max(0, -((rest[idx + 1] + left_sum - left) // c)),
+                          min(m, (left - left_sum) // c) + 1)
+        for take in takes:
+            mu.extend([c] * take)
+            nu.extend([c] * (m - take))
+            yield from rec(idx + 1, left_sum + take * c, mu, nu)
+            del mu[len(mu) - take:]
+            del nu[len(nu) - (m - take):]
 
-    yield from rec(0, [], [])
+    yield from rec(0, 0, [], [])

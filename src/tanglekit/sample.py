@@ -3,13 +3,13 @@
 The sampling route is the same for all three objects.  A binary
 partition lam of n is drawn with exact rational weights (z*q^2 for
 tanglegrams, q for trees, z^(k-1)*q^k for chains) by a walk over the
-level-recurrence table of counting.py, then each tree is
-built together with an automorphism of cycle type lam by a recursive
-procedure whose output probability is exactly 1/(|A(T)|*q(lam)), and
-finally matchings between neighboring trees are filled in by sampling a
-uniform conjugator.  All weights are exact integers over a common
-denominator; a single rng.randrange drives each categorical draw, so
-there is no floating-point bias anywhere.
+level-recurrence table of counting.py, then each tree is built
+together with an automorphism of cycle type lam by splitting lam in two
+again and again, a loop whose output probability is exactly
+1/(|A(T)|*q(lam)), and finally matchings between neighboring trees are
+filled in by sampling a uniform conjugator.  All weights are exact
+integers over a common denominator; a single rng.randrange drives each
+categorical draw, so there is no floating-point bias anywhere.
 
 Identical seeds give identical samples.  The rng argument everywhere is
 an owned random.Random-like object with randrange and shuffle.
@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import lcm
 
 from .counting import level_r, level_terms
-from .partition import q_of, split_pairs
+from .partition import q_numerator, q_of, split_pairs
 from .perm import interleave, sample_conjugator
 from .tree import LEAF, count_occurrences, fold, node, symmetry_count
 
@@ -123,61 +123,163 @@ def _cumulative(weights):
 
 
 def _pick(cum, rng):
-    """Index of an option drawn with the weights of a _cumulative list."""
+    """Index of an option drawn with the weights of a _cumulative list;
+    a single option takes no randomness."""
+    if len(cum) == 1:
+        return 0
     return bisect.bisect_right(cum, rng.randrange(cum[-1]))
 
 
 @lru_cache(maxsize=1 << 12)
-def _split_dist(parts):
-    """Cached option table for the tree-with-permutation sampler at
-    partition `parts`: all ordered splits into two nonempty halves,
-    weighted q(half1)*q(half2), plus (when every part is even) None for
-    the halved partition, weighted q(parts/2).  The total weight is
-    exactly 2*q(parts); that identity is what makes the output
-    probability come out to 1/(|A(T)|*q(lam)), so it is asserted here."""
+def _repeat(c, t):
+    """(c,) * t, shared by every split table that holds it.  The table
+    of (1^m) stores m - 1 splits, so unshared halves would cost m^2
+    parts per table.  () + x is x, so a half made of one run is the
+    shared object itself."""
+    return (c,) * t
+
+
+# The tree sampler splits lam into an ordered pair of nonempty halves
+# (a, b) with weight q(a)*q(b), or, when every part is even, halves it
+# with weight q(lam/2); the weights add up to 2*q(lam).  The split is
+# drawn in two stages, in the recursive style of Nijenhuis and Wilf:
+# first the size A = |a| of the left half, then a split of that size.
+#
+# Scaled by z(lam), the weights are integers.  z(a)*z(b) is z(lam)
+# divided by prod_r C(m_r, t_r), where t_r of the m_r parts c_r go to a,
+# and q_numerator(a) is the product of (2*running sum - 1) over the
+# parts of a added smallest first, without the last factor 2|a| - 1.
+# So the weight of size A is a walk over the parts of lam, smallest
+# first, with states (parts placed, left sum A): a part c placed on the
+# left multiplies by 2(A + c) - 1, on the right by 2(B + c) - 1, where
+# B is the right sum.  Walking the m parts of a run one by one sums
+# over the C(m, t) orders of placing t of them on the left, so the
+# binomials come for free.  The first run starts from the one state
+# A = 0 and is done in closed form.  Each final state A is divided by
+# (2A - 1)(2(|lam| - A) - 1), which every one of its paths ends with,
+# so the division is exact.
+
+@lru_cache(maxsize=1 << 12)
+def _left_sizes(parts):
+    """Option table of the first stage at `parts`: (options, cum), with
+    cumulative integer weights z(lam) * sum q(a)*q(b) over the splits of
+    each left size A, and z(lam) * q(lam/2) for the halved option None
+    when every part is even.  A size with a single split (a, b) stores
+    that split in place of A.  The weights total 2*q_numerator(lam);
+    that identity is what makes the output probability come out to
+    1/(|A(T)|*q(lam)), so it is asserted here."""
+    n = sum(parts)
+    runs = [(c, len(list(g))) for c, g in itertools.groupby(reversed(parts))]
+    (c, m), later = runs[0], runs[1:]
+    # t of the first m parts on the left: C(m, t) * F(t) * F(m - t), with
+    # F(t) = prod_{j<=t} (2jc - 1); each weight is the last one times a ratio
+    w = 1
+    for j in range(1, m + 1):
+        w *= 2 * j * c - 1
+    weight = {0: w}
+    for t in range(1, m + 1):
+        w = w * (m - t + 1) * (2 * t * c - 1) // (t * (2 * (m - t + 1) * c - 1))
+        weight[t * c] = w
+    # left sum -> (number of splits, takes t_r of one of them)
+    ways = {t * c: (1, (t,)) for t in range(m + 1)}
+    placed = c * m
+    for c, m in later:
+        after = {}
+        for A, (k, takes) in ways.items():
+            for t in range(m + 1):
+                old = after.get(A + t * c)
+                after[A + t * c] = (k, takes + (t,)) if old is None else (old[0] + k, old[1])
+        ways = after
+        for _ in range(m):
+            after = {A: w * (2 * (placed - A + c) - 1) for A, w in weight.items()}
+            for A, w in weight.items():
+                after[A + c] = after.get(A + c, 0) + w * (2 * (A + c) - 1)
+            weight = after
+            placed += c
     options = []
     weights = []
-    for a, b in split_pairs(parts):
-        if a and b:
-            options.append((a, b))
-            weights.append(q_of(a) * q_of(b))
+    for A in sorted(weight):
+        if 0 < A < n:
+            k, takes = ways[A]
+            if k == 1:
+                a = b = ()
+                for (c, m), t in zip(reversed(runs), reversed(takes)):
+                    a += _repeat(c, t)
+                    b += _repeat(c, m - t)
+                options.append((a, b))
+            else:
+                options.append(A)
+            weights.append(weight[A] // ((2 * A - 1) * (2 * (n - A) - 1)))
     if parts[-1] > 1:
         options.append(None)
-        weights.append(q_of(tuple(p // 2 for p in parts)))
-    cum, den = _cumulative(weights)
-    assert cum[-1] == 2 * q_of(parts) * den
+        weights.append(q_numerator(tuple(p // 2 for p in parts)) << len(parts))
+    cum = list(itertools.accumulate(weights))
+    assert cum[-1] == 2 * q_numerator(parts)
     return options, cum
+
+
+@lru_cache(maxsize=1 << 12)
+def _splits_of_size(parts, left):
+    """Option table of the second stage: the splits (a, b) of `parts`
+    with |a| = left, weighted q(a)*q(b)."""
+    splits = list(split_pairs(parts, left))
+    cum, _ = _cumulative([q_of(a) * q_of(b) for a, b in splits])
+    return splits, cum
+
+
+_JOIN = object()
+_DOUBLE = object()
 
 
 def random_tree_and_perm(parts, rng):
     """A pair (T, w) with w an automorphism of T of cycle type `parts`,
     hit with probability exactly 1/(|A(T)| * q(parts)).
 
-    A nonempty split (lam1, lam2) builds the two subtrees recursively
-    and joins them with node, which puts them in canonical order; the
-    permutations follow their subtrees.  The halved option builds one
-    subtree T1 with a permutation of type parts/2, doubles the tree, and
-    interleaves so the two copies are swapped by w.
+    A nonempty split (lam1, lam2) builds the two subtrees and joins them
+    with node, which puts them in canonical order; the permutations
+    follow their subtrees.  The halved option builds one subtree T1 with
+    a permutation of type parts/2, doubles the tree, and interleaves so
+    the two copies are swapped by w.  The subtrees are built by a loop
+    over an explicit stack, in the order a recursion would take: the
+    left half's draws, then the right half's, and for the halved option
+    the draws of T1, then its automorphism.
     """
     if not parts:
         raise ValueError("empty partition")
-    n = sum(parts)
-    if n == 1:
-        return LEAF, (1,)
-    options, cum = _split_dist(parts)
-    option = options[_pick(cum, rng)]
-    if option is None:
-        t1, w2 = random_tree_and_perm(tuple(p // 2 for p in parts), rng)
-        w1 = random_automorphism(t1, rng)
-        return node(t1, t1), interleave(w1, w2)
-    a, b = option
-    t1, w1 = random_tree_and_perm(a, rng)
-    t2, w2 = random_tree_and_perm(b, rng)
-    t = node(t1, t2)
-    if t.left is not t1:
-        w1, w2 = w2, w1
-    k = t.left.leaves
-    return t, w1 + tuple(v + k for v in w2)
+    todo = [parts]
+    done = []
+    while todo:
+        item = todo.pop()
+        if item is _JOIN:
+            t2, w2 = done.pop()
+            t1, w1 = done.pop()
+            t = node(t1, t2)
+            if t.left is not t1:
+                w1, w2 = w2, w1
+            k = t.left.leaves
+            done.append((t, w1 + tuple(v + k for v in w2)))
+        elif item is _DOUBLE:
+            t1, w2 = done.pop()
+            w1 = random_automorphism(t1, rng)
+            done.append((node(t1, t1), interleave(w1, w2)))
+        elif item == (1,):
+            done.append((LEAF, (1,)))
+        else:
+            options, cum = _left_sizes(item)
+            option = options[_pick(cum, rng)]
+            if option is None:
+                todo += (_DOUBLE, tuple(p // 2 for p in item))
+                continue
+            if type(option) is int:
+                splits, cum = _splits_of_size(item, option)
+                option = splits[_pick(cum, rng)]
+            a, b = option
+            if a == (1,):
+                done.append((LEAF, (1,)))
+                todo += (_JOIN, b)
+            else:
+                todo += (_JOIN, b, a)
+    return done[0]
 
 
 # The draw of lam walks the level recurrence of counting.py top down,

@@ -100,7 +100,7 @@ def compare(a, b):
 DEFAULT_CAP = 20
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)  # listings stop far below 64 leaves, so every size stays
 def _all_trees(n):
     if n == 1:
         return (LEAF,)

@@ -9,7 +9,7 @@ from tanglekit.partition import (
     split_pairs,
     z_of,
 )
-from tanglekit.sample import _split_dist
+from tanglekit.sample import _left_sizes
 
 
 def bp_count(n):
@@ -103,11 +103,51 @@ def test_halve():
     # None, exactly when every part is even, weighted q(lam/2)
     assert halved_q((4, 2)) == q_of((2, 1)) == Fraction(1, 2)
     assert halved_q((2, 1)) == 0
-    options, cum = _split_dist((4, 2))
+    options, cum = _left_sizes((4, 2))
     assert options[-1] is None and None not in options[:-1]
     assert Fraction(cum[-1] - cum[-2], cum[-1]) == halved_q((4, 2)) / (2 * q_of((4, 2)))
-    options, _ = _split_dist((2, 1))
+    options, _ = _left_sizes((2, 1))
     assert None not in options
+
+
+def test_left_sizes_against_split_listing():
+    # the walk over the runs gives each left size A the weight
+    # z(lam) * sum q(a)*q(b) over the listed splits with |a| = A, stores
+    # the split itself when it is the only one of its size, and gives
+    # the halved option z(lam) * q(lam/2)
+    for n in range(2, 17):
+        for lam in binary_partitions(n):
+            by_size = {}
+            for a, b in split_pairs(lam):
+                if a and b:
+                    by_size.setdefault(sum(a), []).append((a, b))
+            options, cum = _left_sizes(lam)
+            weights = [c - prev for prev, c in zip([0] + cum, cum)]
+            sizes = []
+            for option, w in zip(options, weights):
+                if option is None:
+                    assert Fraction(w, z_of(lam)) == halved_q(lam), lam
+                    continue
+                if type(option) is int:
+                    size = option
+                    assert len(by_size[size]) > 1, (lam, size)
+                else:
+                    size = sum(option[0])
+                    assert by_size[size] == [option], (lam, option)
+                sizes.append(size)
+                assert Fraction(w, z_of(lam)) == sum(q_of(a) * q_of(b)
+                                                     for a, b in by_size[size]), (lam, size)
+            assert sizes == sorted(by_size), lam
+            assert (options[-1] is None) == (lam[-1] > 1), lam
+
+
+def test_split_pairs_of_one_size():
+    for n in range(1, 17):
+        for lam in binary_partitions(n):
+            pairs = list(split_pairs(lam))
+            for size in range(n + 1):
+                assert list(split_pairs(lam, size)) == [
+                    (a, b) for a, b in pairs if sum(a) == size], (lam, size)
 
 
 def test_split_pairs_counts_and_unions():

@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -83,6 +86,32 @@ def test_tree_and_perm_empty_partition_rejected():
     rng = random.Random(22)
     with pytest.raises(ValueError):
         random_tree_and_perm((), rng)
+
+
+def test_tree_and_perm_is_a_loop():
+    # an rng that always answers 0 takes the smallest left half at every
+    # vertex, so (1,)*400 builds the 400-leaf caterpillar with the
+    # identity, 399 vertices deep, under a recursion limit of 200
+    script = (
+        "import sys\n"
+        "from tanglekit.sample import random_tree_and_perm\n"
+        "from tanglekit.tree import LEAF, node\n"
+        "class Zero:\n"
+        "    def randrange(self, n):\n"
+        "        return 0\n"
+        "sys.setrecursionlimit(200)\n"
+        "t, w = random_tree_and_perm((1,) * 400, Zero())\n"
+        "cat = LEAF\n"
+        "for _ in range(399):\n"
+        "    cat = node(cat, LEAF)\n"
+        "assert t.leaves == 400 and t == cat, t.key\n"
+        "assert w == tuple(range(1, 401)), w\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sample.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_tree_and_perm_consistency():
