@@ -20,7 +20,7 @@ from fractions import Fraction
 from mpmath import mp, mpf, sqrt, exp, power, pi
 
 from .counting import catalan
-from .tree import enumerate_trees, symmetry_count, DEFAULT_CAP
+from .tree import enumerate_trees, symmetry_count
 
 from math import factorial
 
@@ -107,12 +107,12 @@ def f_fixed_point(precision=200):
     return g
 
 
-def generator_weight_sum(n, cap=DEFAULT_CAP):
+def generator_weight_sum(n):
     """sum over trees T with n leaves of 4^-(leaves + symmetry_count(T)),
     exact.  Summed over n = 1, 2, ... these partial sums increase
     toward f(1/4) of f_fixed_point from below; no convergence is
     asserted."""
     total = Fraction(0)
-    for t in enumerate_trees(n, cap=cap):
+    for t in enumerate_trees(n):
         total += Fraction(1, 4 ** (n + symmetry_count(t)))
     return total

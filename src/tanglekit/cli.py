@@ -226,9 +226,8 @@ def _cmd_table(args):
         b_n = counting.tree_count(n)
         c_n = counting.chain_count(3, n)
         if n <= 7:
-            ordered = len(oracle.brute_tanglegrams(n))
-            unordered = oracle.brute_unordered_count(n)
-            rows.append((n, t_n, b_n, c_n, ordered, unordered))
+            reps = oracle.brute_tanglegrams(n)
+            rows.append((n, t_n, b_n, c_n, len(reps), oracle.unordered_count(reps)))
         else:
             rows.append((n, t_n, b_n, c_n, "", ""))
     widths = [max(len(str(r[i])) for r in rows) for i in range(len(rows[0]))]

@@ -3,11 +3,12 @@
 Everything here recomputes, from first principles and in the dumbest
 safe way, quantities the rest of the package obtains from formulas:
 automorphism groups by checking every leaf permutation against the edge
-set, tanglegram classes by expanding entire double cosets out of all n!
-matchings.  The point is independence: none of this shares code paths
-with the counting formulas or the samplers it validates.  Caps keep the
-factorial blowup at bay; n = 8 tanglegram enumeration is possible but
-slow and sits behind an explicit flag.
+set, classes of tangled chains (a tanglegram is the two-tree chain) by
+expanding whole orbits out of all tuples of matchings.  The point is
+independence: none of this shares code paths with the counting formulas
+or the samplers it validates.  One cap keeps the factorial blowup at
+bay: an enumeration expands at most 7! tuples of matchings per tuple of
+trees, or 8!, which takes minutes, behind an explicit flag.
 
 The canonical class representatives (canonical_rep and
 canonical_chain_rep), which the sampler tests bin draws by, use the
@@ -25,7 +26,8 @@ from .perm import compose, flip, inverse
 from .sample import Tanglegram, TangledChain
 from .tree import CapError, enumerate_trees
 
-BRUTE_CAP = 7
+BRUTE_CAP = factorial(7)  # tuples of matchings per tuple of trees
+SLOW_CAP = factorial(8)  # the same with allow_slow=True
 AUT_CAP = 8
 
 
@@ -85,121 +87,110 @@ def automorphism_group(t):
     return tuple(out)
 
 
-def _coset_min(v, gt, gs):
-    """Minimum of the double coset {u o v o w} and the coset itself."""
-    orbit = set()
-    for u in gt:
-        uv = compose(u, v)
-        for w in gs:
-            orbit.add(compose(uv, w))
-    return min(orbit), orbit
-
-
-def _chain_orbit(matchings, groups):
+def _orbit(matchings, groups):
     """Orbit of a tuple of matchings under the product of the trees'
-    automorphism groups, acting by m_i -> t_i o m_i o t_{i+1}^-1."""
-    orbit = set()
-    for ts in itertools.product(*groups):
-        orbit.add(tuple(compose(ts[i], compose(m, inverse(ts[i + 1])))
-                        for i, m in enumerate(matchings)))
-    return orbit
+    automorphism groups, acting by m_i -> t_i o m_i o t_{i+1}^-1.  Each
+    member is its matchings joined into one flat tuple; all of them have
+    length n, so the flat tuples order as the tuples of matchings do."""
+    if not matchings:
+        return {()}
+    # heads: (the member so far, the next matching times t_i on the
+    # left).  s runs over all of the next tree's group, so it stands for
+    # t_{i+1}^-1, and its inverse multiplies the matching after it.
+    heads = [((), compose(t, matchings[0])) for t in groups[0]]
+    for m, group in zip(matchings[1:], groups[1:]):
+        pairs = [(s, compose(inverse(s), m)) for s in group]
+        heads = [(flat + compose(tm, s), sm) for flat, tm in heads for s, sm in pairs]
+    return {flat + compose(tm, s) for flat, tm in heads for s in groups[-1]}
 
 
-def canonical_rep(tg, cap=AUT_CAP):
-    """The member of tg's equivalence class whose matching is
-    lexicographically minimal over {u o v o w : u in A(left),
-    w in A(right)}.  Two tanglegrams are equivalent iff their
-    canonical_rep outputs are equal."""
-    if tg.n > cap:
-        raise CapError("canonical_rep capped at %d leaves (asked for %d)" % (cap, tg.n))
-    best, _ = _coset_min(tg.matching, automorphism_group(tg.left),
-                         automorphism_group(tg.right))
-    return Tanglegram(tg.left, tg.right, best)
+def _unflatten(flat, n):
+    return [flat[i:i + n] for i in range(0, len(flat), n)]
 
 
-def canonical_chain_rep(chain, cap=AUT_CAP):
-    """Chain analogue of canonical_rep: the minimal tuple of matchings
-    in the chain's orbit."""
-    if chain.n > cap:
-        raise CapError("canonical_chain_rep capped at %d leaves" % (cap,))
-    groups = [automorphism_group(t) for t in chain.trees]
-    return TangledChain(chain.trees, min(_chain_orbit(chain.matchings, groups)))
+def _canonical(chain):
+    if chain.n > AUT_CAP:
+        raise CapError("canonical representatives capped at %d leaves" % AUT_CAP)
+    return min(_orbit(chain.matchings, [automorphism_group(t) for t in chain.trees]))
+
+
+def canonical_chain_rep(chain):
+    """The member of the chain's class whose tuple of matchings is
+    lexicographically minimal.  Two chains are equivalent iff their
+    canonical_chain_rep outputs are equal."""
+    return TangledChain(chain.trees, _unflatten(_canonical(chain), chain.n))
+
+
+def canonical_rep(tg):
+    """canonical_chain_rep as a Tanglegram: the matching minimal over
+    {u o v o w : u in A(left), w in A(right)}."""
+    return Tanglegram(tg.left, tg.right, _canonical(tg))
+
+
+def _matching_tuples(k, n, allow_slow):
+    """Every tuple of k - 1 matchings on n leaves, flat, in order: what a
+    brute enumeration expands for each k-tuple of trees, within the cap."""
+    count = factorial(n) ** (k - 1)
+    if count > (SLOW_CAP if allow_slow else BRUTE_CAP):
+        raise CapError("brute enumeration capped at %d tuples of matchings per tuple of "
+                       "trees, %d with allow_slow=True or --allow-slow (asked for %d)"
+                       % (BRUTE_CAP, SLOW_CAP, count))
+    if count > BRUTE_CAP:
+        warnings.warn("brute enumeration of %d tuples of matchings runs for minutes" % count)
+    perms = list(itertools.permutations(range(1, n + 1)))
+    return [sum(ms, ()) for ms in itertools.product(perms, repeat=k - 1)]
+
+
+def _classes(trees, flats):
+    """The least member, flat, of each orbit of tuples of matchings
+    between neighbouring `trees`, in the order `flats` first meets them."""
+    groups = [brute_automorphisms(t) for t in trees]
+    seen = set()
+    reps = []
+    for flat in flats:
+        if flat not in seen:
+            orbit = _orbit(_unflatten(flat, trees[0].leaves), groups)
+            seen |= orbit
+            reps.append(min(orbit))
+    assert len(seen) == len(flats)
+    return reps
 
 
 def brute_pair_classes(T, S):
     """Representatives of the double cosets splitting the n! matchings
-    between the leaves of T and the leaves of S: every matching is
-    expanded to its full class, the lexicographically minimal member
-    representing it."""
-    n = T.leaves
-    gt = brute_automorphisms(T)
-    gs = brute_automorphisms(S)
-    seen = set()
-    reps = []
-    for v in itertools.permutations(range(1, n + 1)):
-        if v in seen:
-            continue
-        rep, orbit = _coset_min(v, gt, gs)
-        seen |= orbit
-        reps.append(rep)
-    assert len(seen) == factorial(n)
-    return reps
+    between the leaves of T and the leaves of S."""
+    return _classes((T, S), _matching_tuples(2, T.leaves, allow_slow=False))
+
+
+def brute_chains(k, n, allow_slow=False):
+    """One canonical representative per class of k-tree chains on n leaves."""
+    flats = _matching_tuples(k, n, allow_slow)
+    return [TangledChain(trees, _unflatten(rep, n))
+            for trees in itertools.product(enumerate_trees(n), repeat=k)
+            for rep in _classes(trees, flats)]
 
 
 def brute_tanglegrams(n, allow_slow=False):
-    """One canonical representative per tanglegram class of size n,
-    over all ordered tree pairs.  n = 8 takes minutes and must be
-    requested with allow_slow=True."""
-    if n > BRUTE_CAP + 1 or (n == BRUTE_CAP + 1 and not allow_slow):
-        raise CapError(
-            "brute tanglegram enumeration capped at %d leaves "
-            "(%d allowed with allow_slow=True)" % (BRUTE_CAP, BRUTE_CAP + 1))
-    if n == BRUTE_CAP + 1:
-        warnings.warn("brute tanglegram enumeration at n=%d runs for minutes" % n)
-    reps = []
-    trees = enumerate_trees(n)
-    for T in trees:
-        for S in trees:
-            for rep in brute_pair_classes(T, S):
-                reps.append(Tanglegram(T, S, rep))
-    return reps
+    """brute_chains(2, n, allow_slow) as Tanglegrams."""
+    flats = _matching_tuples(2, n, allow_slow)
+    return [Tanglegram(T, S, rep)
+            for T, S in itertools.product(enumerate_trees(n), repeat=2)
+            for rep in _classes((T, S), flats)]
 
 
-def brute_unordered_count(n):
+def unordered_count(reps):
     """Tanglegram classes counted up to the extra swap
-    (T, v, S) ~ (S, v^-1, T): orbits of the ordered classes under
-    swap-then-canonicalize."""
-    if n > BRUTE_CAP:
-        raise CapError("unordered brute count capped at %d leaves" % BRUTE_CAP)
-    reps = brute_tanglegrams(n)
+    (T, v, S) ~ (S, v^-1, T), from the ordered classes brute_tanglegrams
+    lists: orbits of those under swap-then-canonicalize."""
     fixed = 0
     for tg in reps:
-        if tg.left != tg.right:
-            continue
-        g = brute_automorphisms(tg.left)
-        swapped, _ = _coset_min(inverse(tg.matching), g, g)
-        if swapped == tg.matching:
-            fixed += 1
+        if tg.left == tg.right:
+            g = brute_automorphisms(tg.left)
+            fixed += min(_orbit((inverse(tg.matching),), (g, g))) == tg.matching
     assert (len(reps) + fixed) % 2 == 0
     return (len(reps) + fixed) // 2
 
 
-def brute_chains(k, n, cap=4):
-    """One canonical representative per tangled chain class, by
-    expanding full orbits of the product of automorphism groups acting
-    on the matchings."""
-    if n > cap:
-        raise CapError("brute chain enumeration capped at %d leaves" % cap)
-    trees = enumerate_trees(n)
-    perms = list(itertools.permutations(range(1, n + 1)))
-    reps = []
-    for combo in itertools.product(trees, repeat=k):
-        groups = [brute_automorphisms(t) for t in combo]
-        seen = set()
-        for ms in itertools.product(perms, repeat=k - 1):
-            if ms in seen:
-                continue
-            orbit = _chain_orbit(ms, groups)
-            seen |= orbit
-            reps.append(TangledChain(combo, min(orbit)))
-    return reps
+def brute_unordered_count(n):
+    """unordered_count of the tanglegram classes of size n."""
+    return unordered_count(brute_tanglegrams(n))

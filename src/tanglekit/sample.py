@@ -134,8 +134,7 @@ def _pick(cum, rng):
 def _repeat(c, t):
     """(c,) * t, shared by every split table that holds it.  The table
     of (1^m) stores m - 1 splits, so unshared halves would cost m^2
-    parts per table.  () + x is x, so a half made of one run is the
-    shared object itself."""
+    parts per table."""
     return (c,) * t
 
 
@@ -144,6 +143,8 @@ def _repeat(c, t):
 # with weight q(lam/2); the weights add up to 2*q(lam).  The split is
 # drawn in two stages, in the recursive style of Nijenhuis and Wilf:
 # first the size A = |a| of the left half, then a split of that size.
+# A one-run lam (c^m) has one split of each size and stores it; any
+# other lam lists the splits of the size drawn.
 #
 # Scaled by z(lam), the weights are integers.  z(a)*z(b) is z(lam)
 # divided by prod_r C(m_r, t_r), where t_r of the m_r parts c_r go to a,
@@ -164,10 +165,10 @@ def _left_sizes(parts):
     """Option table of the first stage at `parts`: (options, cum), with
     cumulative integer weights z(lam) * sum q(a)*q(b) over the splits of
     each left size A, and z(lam) * q(lam/2) for the halved option None
-    when every part is even.  A size with a single split (a, b) stores
-    that split in place of A.  The weights total 2*q_numerator(lam);
-    that identity is what makes the output probability come out to
-    1/(|A(T)|*q(lam)), so it is asserted here."""
+    when every part is even.  For a one-run lam the option of size A is
+    its one split (a, b); otherwise it is A.  The weights total
+    2*q_numerator(lam); that identity is what makes the output
+    probability come out to 1/(|A(T)|*q(lam)), so it is asserted here."""
     n = sum(parts)
     runs = [(c, len(list(g))) for c, g in itertools.groupby(reversed(parts))]
     (c, m), later = runs[0], runs[1:]
@@ -180,16 +181,8 @@ def _left_sizes(parts):
     for t in range(1, m + 1):
         w = w * (m - t + 1) * (2 * t * c - 1) // (t * (2 * (m - t + 1) * c - 1))
         weight[t * c] = w
-    # left sum -> (number of splits, takes t_r of one of them)
-    ways = {t * c: (1, (t,)) for t in range(m + 1)}
     placed = c * m
     for c, m in later:
-        after = {}
-        for A, (k, takes) in ways.items():
-            for t in range(m + 1):
-                old = after.get(A + t * c)
-                after[A + t * c] = (k, takes + (t,)) if old is None else (old[0] + k, old[1])
-        ways = after
         for _ in range(m):
             after = {A: w * (2 * (placed - A + c) - 1) for A, w in weight.items()}
             for A, w in weight.items():
@@ -200,15 +193,7 @@ def _left_sizes(parts):
     weights = []
     for A in sorted(weight):
         if 0 < A < n:
-            k, takes = ways[A]
-            if k == 1:
-                a = b = ()
-                for (c, m), t in zip(reversed(runs), reversed(takes)):
-                    a += _repeat(c, t)
-                    b += _repeat(c, m - t)
-                options.append((a, b))
-            else:
-                options.append(A)
+            options.append(A if later else (_repeat(c, A // c), _repeat(c, m - A // c)))
             weights.append(weight[A] // ((2 * A - 1) * (2 * (n - A) - 1)))
     if parts[-1] > 1:
         options.append(None)

@@ -81,7 +81,8 @@ def test_usage_errors(capsys):
 def test_cap_exit_code(capsys):
     assert run(["oracle", "tanglegrams", "--n", "9"]) == 3
     assert capsys.readouterr().out == ""
-    assert run(["oracle", "tanglegrams", "--n", "8"]) == 3  # needs --allow-slow
+    assert run(["oracle", "tanglegrams", "--n", "8"]) == 3
+    assert "--allow-slow" in capsys.readouterr().err
 
 
 def test_count_prints_past_digit_limit(capsys):

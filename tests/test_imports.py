@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module,
+and every module-level private name is used somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -32,3 +33,40 @@ def test_no_unused_imports():
         for line, name in unused_imports(path.read_text()):
             found.append("%s:%d %s" % (path.name, line, name))
     assert not found, "unused imports: " + ", ".join(found)
+
+
+def unused_private_names(sources):
+    """(module, name) for each module-level private name of `sources`, a
+    dict of module name -> source, that no other top-level statement of
+    any module refers to, by name or as an attribute."""
+    defined = {}
+    refs = []
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, ast.Assign):
+                names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[module, name] = stmt
+            refs.append((stmt, {node.id if isinstance(node, ast.Name) else node.attr
+                                for node in ast.walk(stmt)
+                                if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+                                or isinstance(node, ast.Attribute)}))
+    return sorted(key for key, stmt in defined.items()
+                  if not any(key[1] in names for other, names in refs if other is not stmt))
+
+
+def test_unused_private_name_detector():
+    sources = {"a": "_x = 1\n_y = 2\n_z = 3\ndef _f():\n    return _f()\ndef g():\n    return _x\n",
+               "b": "import a\nprint(a._y)\n_z = 4\n"}
+    assert unused_private_names(sources) == [("a", "_f"), ("a", "_z"), ("b", "_z")]
+
+
+def test_no_unused_private_names():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    found = unused_private_names(sources)
+    assert not found, "unused private names: " + ", ".join("%s:%s" % key for key in found)

@@ -83,6 +83,7 @@ def test_unordered_counts():
 def test_brute_chain_counts():
     assert len(brute_chains(1, 4)) == tree_count(4) == 2
     assert len(brute_chains(2, 4)) == tanglegram_count(4) == 13
+    assert brute_chains(2, 5) == brute_tanglegrams(5)  # the same classes in the same order
     assert len(brute_chains(3, 3)) == chain_count(3, 3) == 5
     assert len(brute_chains(3, 4)) == chain_count(3, 4) == 151
 
@@ -96,6 +97,9 @@ def test_caps():
         brute_unordered_count(8)
     with pytest.raises(ValueError):
         brute_chains(3, 5)
+    with pytest.raises(ValueError):
+        brute_chains(4, 4)  # 24^3 tuples of matchings need allow_slow=True
+    assert len(brute_chains(1, 5)) == tree_count(5)
     big = enumerate_trees(9)[0]
     with pytest.raises(ValueError):
         brute_automorphisms(big)

@@ -113,8 +113,8 @@ def test_halve():
 def test_left_sizes_against_split_listing():
     # the walk over the runs gives each left size A the weight
     # z(lam) * sum q(a)*q(b) over the listed splits with |a| = A, stores
-    # the split itself when it is the only one of its size, and gives
-    # the halved option z(lam) * q(lam/2)
+    # the split itself when lam is one run (c^m), and gives the halved
+    # option z(lam) * q(lam/2)
     for n in range(2, 17):
         for lam in binary_partitions(n):
             by_size = {}
@@ -128,9 +128,9 @@ def test_left_sizes_against_split_listing():
                 if option is None:
                     assert Fraction(w, z_of(lam)) == halved_q(lam), lam
                     continue
+                assert (type(option) is int) == (len(set(lam)) > 1), (lam, option)
                 if type(option) is int:
                     size = option
-                    assert len(by_size[size]) > 1, (lam, size)
                 else:
                     size = sum(option[0])
                     assert by_size[size] == [option], (lam, option)
