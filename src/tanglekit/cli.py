@@ -13,7 +13,7 @@ Subcommands:
     stats cherries --n N --samples M --seed S
     stats pattern --pattern "((..).)" --n N --samples M --seed S
     oracle tanglegrams --n N [--list] [--allow-slow]
-    oracle tanglegrams --n N --unordered
+    oracle tanglegrams --n N --unordered [--allow-slow]
     table paper
 
 Counts print as full decimal integers.  Samples print one object per
@@ -205,13 +205,10 @@ def _cmd_stats(args):
 
 
 def _cmd_oracle(args):
-    if args.unordered:
-        if args.list_classes or args.allow_slow:
-            raise ValueError("--list and --allow-slow do not apply with --unordered")
-        print(oracle.brute_unordered_count(args.n))
-        return 0
-    reps = oracle.brute_tanglegrams(args.n, allow_slow=args.allow_slow)
-    print(len(reps))
+    if args.unordered and args.list_classes:
+        raise ValueError("--list does not apply with --unordered")
+    reps = oracle.brute_tanglegrams(args.n, args.allow_slow)
+    print(oracle.unordered_count(reps) if args.unordered else len(reps))
     if args.list_classes:
         for tg in reps:
             print(json.dumps(tg.to_json()))

@@ -130,21 +130,14 @@ def _pick(cum, rng):
     return bisect.bisect_right(cum, rng.randrange(cum[-1]))
 
 
-@lru_cache(maxsize=1 << 12)
-def _repeat(c, t):
-    """(c,) * t, shared by every split table that holds it.  The table
-    of (1^m) stores m - 1 splits, so unshared halves would cost m^2
-    parts per table."""
-    return (c,) * t
-
-
 # The tree sampler splits lam into an ordered pair of nonempty halves
 # (a, b) with weight q(a)*q(b), or, when every part is even, halves it
 # with weight q(lam/2); the weights add up to 2*q(lam).  The split is
 # drawn in two stages, in the recursive style of Nijenhuis and Wilf:
 # first the size A = |a| of the left half, then a split of that size.
-# A one-run lam (c^m) has one split of each size and stores it; any
-# other lam lists the splits of the size drawn.
+# A one-run lam (c^m) has one split of each size, so the tree build
+# slices it, with no second draw; any other lam lists the splits of the
+# size drawn.
 #
 # Scaled by z(lam), the weights are integers.  z(a)*z(b) is z(lam)
 # divided by prod_r C(m_r, t_r), where t_r of the m_r parts c_r go to a,
@@ -165,8 +158,9 @@ def _left_sizes(parts):
     """Option table of the first stage at `parts`: (options, cum), with
     cumulative integer weights z(lam) * sum q(a)*q(b) over the splits of
     each left size A, and z(lam) * q(lam/2) for the halved option None
-    when every part is even.  For a one-run lam the option of size A is
-    its one split (a, b); otherwise it is A.  The weights total
+    when every part is even.  Every option is a size A or None: the tree
+    build slices the one split of size A out of a one-run lam (c^m) and
+    draws one from _splits_of_size for any other lam.  The weights total
     2*q_numerator(lam); that identity is what makes the output
     probability come out to 1/(|A(T)|*q(lam)), so it is asserted here."""
     n = sum(parts)
@@ -193,7 +187,7 @@ def _left_sizes(parts):
     weights = []
     for A in sorted(weight):
         if 0 < A < n:
-            options.append(A if later else (_repeat(c, A // c), _repeat(c, m - A // c)))
+            options.append(A)
             weights.append(weight[A] // ((2 * A - 1) * (2 * (n - A) - 1)))
     if parts[-1] > 1:
         options.append(None)
@@ -251,18 +245,15 @@ def random_tree_and_perm(parts, rng):
             done.append((LEAF, (1,)))
         else:
             options, cum = _left_sizes(item)
-            option = options[_pick(cum, rng)]
-            if option is None:
+            A = options[_pick(cum, rng)]
+            if A is None:
                 todo += (_DOUBLE, tuple(p // 2 for p in item))
-                continue
-            if type(option) is int:
-                splits, cum = _splits_of_size(item, option)
-                option = splits[_pick(cum, rng)]
-            a, b = option
-            if a == (1,):
-                done.append((LEAF, (1,)))
-                todo += (_JOIN, b)
+            elif item[0] == item[-1]:
+                t = A // item[0]
+                todo += (_JOIN, item[t:], item[:t])
             else:
+                splits, cum = _splits_of_size(item, A)
+                a, b = splits[_pick(cum, rng)]
                 todo += (_JOIN, b, a)
     return done[0]
 
@@ -369,7 +360,8 @@ def cherry_statistics(n, samples, rng, pattern=None):
         total += v
         total_sq += v * v
     mean = total / samples
-    var = total_sq / samples - mean * mean
+    # one int / int division: the exact variance, rounded once
+    var = (samples * total_sq - total * total) / (samples * samples)
     return {
         "n": n,
         "samples": samples,

@@ -97,7 +97,7 @@ def compare(a, b):
             return 0
 
 
-DEFAULT_CAP = 20
+ENUMERATION_CAP = 20
 
 
 @lru_cache(maxsize=64)  # listings stop far below 64 leaves, so every size stays
@@ -119,14 +119,14 @@ def _all_trees(n):
     return tuple(out)
 
 
-def enumerate_trees(n, cap=DEFAULT_CAP):
+def enumerate_trees(n):
     """All inequivalent binary trees with n leaves, in decreasing order
-    under compare.  Enumeration is restricted to small n (default cap
-    20); counts past the cap come from formulas, not listings."""
+    under compare.  Enumeration is restricted to n <= 20; counts past
+    the cap come from formulas, not listings."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if n > cap:
-        raise CapError("enumeration capped at %d leaves (asked for %d)" % (cap, n))
+    if n > ENUMERATION_CAP:
+        raise CapError("enumeration capped at %d leaves (asked for %d)" % (ENUMERATION_CAP, n))
     return _all_trees(n)
 
 

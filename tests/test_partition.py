@@ -112,9 +112,9 @@ def test_halve():
 
 def test_left_sizes_against_split_listing():
     # the walk over the runs gives each left size A the weight
-    # z(lam) * sum q(a)*q(b) over the listed splits with |a| = A, stores
-    # the split itself when lam is one run (c^m), and gives the halved
-    # option z(lam) * q(lam/2)
+    # z(lam) * sum q(a)*q(b) over the listed splits with |a| = A, and the
+    # halved option z(lam) * q(lam/2); when lam is one run (c^m) the one
+    # split of size A is the slice the tree build takes
     for n in range(2, 17):
         for lam in binary_partitions(n):
             by_size = {}
@@ -124,16 +124,14 @@ def test_left_sizes_against_split_listing():
             options, cum = _left_sizes(lam)
             weights = [c - prev for prev, c in zip([0] + cum, cum)]
             sizes = []
-            for option, w in zip(options, weights):
-                if option is None:
+            for size, w in zip(options, weights):
+                if size is None:
                     assert Fraction(w, z_of(lam)) == halved_q(lam), lam
                     continue
-                assert (type(option) is int) == (len(set(lam)) > 1), (lam, option)
-                if type(option) is int:
-                    size = option
-                else:
-                    size = sum(option[0])
-                    assert by_size[size] == [option], (lam, option)
+                assert type(size) is int, (lam, size)
+                if lam[0] == lam[-1]:
+                    t = size // lam[0]
+                    assert list(split_pairs(lam, size)) == [(lam[:t], lam[t:])], (lam, size)
                 sizes.append(size)
                 assert Fraction(w, z_of(lam)) == sum(q_of(a) * q_of(b)
                                                      for a, b in by_size[size]), (lam, size)

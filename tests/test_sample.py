@@ -458,6 +458,18 @@ def test_cherry_statistics_n4():
     assert out["statistic"] == "cherries"
 
 
+def test_cherry_statistics_variance_rounded_once():
+    # the variance of the histogram as one int / int division, so the
+    # float is the correctly rounded exact value
+    for seed in (1, 2, 3):
+        out = cherry_statistics(40, 300, random.Random(seed))
+        hist = out["histogram"]
+        samples = sum(hist.values())
+        total = sum(v * c for v, c in hist.items())
+        total_sq = sum(v * v * c for v, c in hist.items())
+        assert out["variance"] == (samples * total_sq - total * total) / (samples * samples)
+
+
 def test_pattern_statistics_cherry_matches_reference():
     rng = random.Random(73)
     out = cherry_statistics(8, 400, rng, pattern=CHERRY)
