@@ -23,69 +23,58 @@ from .tree import aut_size, cycle_type_table
 
 
 def _power_sum(n, k):
-    """n! * t(k,n) as one exact integer.
+    """n! * (2n-1)^k * t(k,n) as one exact integer.
 
-    Walks the tree of binary partitions in decreasing lexicographic
-    order, part sizes from the largest power of 2 down, carrying two
-    quantities along each branch: W = n!/z(partial) and the running
-    numerator product raised to the k-th power.  A trailing run of ones
-    is folded in closed form, since over the all-ones tail the numerator
-    factors are consecutive odd numbers: the tail of r ones past an
-    earlier part contributes ((2r-1)!!)^k / r!, and the all-ones
-    partition itself contributes ((2r-3)!!)^k / r! because the product
-    skips the largest part.  Every intermediate division is exact
-    because partial centralizer orders divide n!.
+    Walks the tree of binary partitions, part sizes from the largest
+    power of 2 down, carrying two quantities along each branch:
+    W = n!/z(partial) and the product of (2r-1)^k over the parts placed,
+    where r is the sum of a part and all parts after it.  No part is
+    skipped, so a whole partition lam adds n! * (2n-1)^k * z^(k-1) * q^k:
+    the largest part's factor is always (2n-1)^k, and the caller divides
+    it out once.  A trailing run of r ones is folded in closed form: its
+    suffix sums are r, r-1, ..., 1, so it contributes ((2r-1)!!)^k / r!.
+    Every intermediate division is exact because partial centralizer
+    orders divide n!.
     """
-    if n == 0:
-        return 1
     fact = [1] * (n + 1)
     for i in range(1, n + 1):
         fact[i] = fact[i - 1] * i
-    oddfact = [1] * (n + 1)
+    tail = [1] * (n + 1)
     for m in range(1, n + 1):
-        oddfact[m] = oddfact[m - 1] * (2 * m - 1)
-    tail = [v ** k for v in oddfact]
-    tail_skip = [1] + [oddfact[m - 1] ** k for m in range(1, n + 1)]
-    fn = fact[n]
+        tail[m] = tail[m - 1] * (2 * m - 1) ** k
     total = 0
 
-    def rec(r, p, first, W, numer):
+    def rec(r, p, W, numer):
         nonlocal total
-        if r == 0:
-            total += W * numer
-            return
         while p > r:
             p //= 2
-        if p == 1:
-            cap = tail_skip[r] if first else tail[r]
-            total += (W // fact[r]) * cap * numer
+        if p <= 1:
+            # only ones are left, or nothing (r = 0 leaves p = 0)
+            total += W // fact[r] * tail[r] * numer
             return
-        steps = []
-        rr, WW, nn, m = r, W, numer, 0
-        while rr >= p:
+        rec(r, p // 2, W, numer)
+        m = 0
+        while r >= p:
             m += 1
-            WW //= p * m
-            if not (first and m == 1):
-                nn = nn * (2 * rr - 1) ** k
-            rr -= p
-            steps.append((rr, WW, nn))
-        for rr, WW, nn in reversed(steps):
-            rec(rr, p // 2, False, WW, nn)
-        rec(r, p // 2, first, W, numer)
+            W //= p * m
+            numer *= (2 * r - 1) ** k
+            r -= p
+            rec(r, p // 2, W, numer)
 
-    rec(n, 1 << (n.bit_length() - 1), True, fn, 1)
+    rec(n, 1 << (n.bit_length() - 1), fact[n], 1)
     return total
 
 
 def chain_count(k, n):
     """Number of ordered tangled chains of length k on n leaves,
-    t(k,n) = sum_lam z(lam)^(k-1) * q(lam)^k over binary partitions."""
+    t(k,n) = sum_lam z(lam)^(k-1) * q(lam)^k over binary partitions,
+    with n >= 1."""
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
     s = _power_sum(n, k)
-    fn = factorial(n)
-    assert s % fn == 0, "partition sum failed to clear its denominator"
-    return s // fn
+    den = factorial(n) * (2 * n - 1) ** k
+    assert s % den == 0, "partition sum failed to clear its denominator"
+    return s // den
 
 
 def tanglegram_count(n):
@@ -217,17 +206,15 @@ def tanglegram_count_mu(n):
     where mu runs over binary partitions with every part a positive
     power of 2 (parts >= 2), including mu = (), whose summand is 1.
     Parts >= 2 force |mu| even, so mu is twice a binary partition of
-    |mu|/2.
+    |mu|/2.  For n = 1 only mu = () occurs and c_0 = 1, so t_1 = 1.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
+    if n < 1:
+        raise ValueError("need n >= 1")
     acc = Fraction(0)
+    falling = 1  # n(n-1)...(n-m2+1)
     for m2 in range(0, n + 1, 2):
         for nu in binary_partitions(m2 // 2):
             mu = tuple(2 * p for p in nu)
-            falling = 1
-            for i in range(m2):
-                falling *= n - i
             den = z_of(mu)
             prefix = 0
             for part in mu:
@@ -235,6 +222,7 @@ def tanglegram_count_mu(n):
                     den *= (2 * n - 2 * prefix - 2 * j - 1) ** 2
                 prefix += part
             acc += Fraction(falling, den)
+        falling *= (n - m2) * (n - m2 - 1)
     c = catalan(n - 1)
     val = Fraction(c * c * factorial(n), 4 ** (n - 1)) * acc
     assert val.denominator == 1, "mu-form sum failed to clear its denominator"

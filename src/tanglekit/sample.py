@@ -265,27 +265,18 @@ def random_tree_and_perm(parts, rng):
 # and these weights sum to r(h, n').  The step probabilities multiply
 # to z(lam)^(k-1) * q(lam)^k / t(k, n) for the partition built.
 
-@lru_cache(maxsize=4)
-def _lam_steps(k, n):
-    """Option tables of the lam walk for (k, n): a dict mapping a state
-    (h, n') to (part counts m, cumulative integer weights)."""
-    return {}
-
-
+@lru_cache(maxsize=1 << 12)
 def _lam_step(k, n, h, units):
-    steps = _lam_steps(k, n)
-    d = steps.get((h, units))
-    if d is None:
-        counts = []
-        weights = []
-        for m, c, rest in level_terms(k, n, h, units):
-            counts.append(m)
-            weights.append(c * level_r(k, n, h + 1, rest))
-        cum, den = _cumulative(weights)
-        assert cum[-1] == level_r(k, n, h, units) * den
-        d = (counts, cum)
-        steps[(h, units)] = d
-    return d
+    """Option table of the lam walk at the state (h, units) of the
+    (k, n) table: (part counts m, cumulative integer weights)."""
+    counts = []
+    weights = []
+    for m, c, rest in level_terms(k, n, h, units):
+        counts.append(m)
+        weights.append(c * level_r(k, n, h + 1, rest))
+    cum, den = _cumulative(weights)
+    assert cum[-1] == level_r(k, n, h, units) * den
+    return counts, cum
 
 
 def _draw_lam(n, k, rng):

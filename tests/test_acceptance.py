@@ -94,7 +94,7 @@ def test_c04_route_agreement():
     t0 = time.monotonic()
     ok = all(
         tanglegram_count(n) == tanglegram_count_rec(n) == tanglegram_count_mu(n)
-        for n in range(2, 61))
+        for n in range(1, 61))
     ok = ok and all(
         chain_count(k, n) == chain_count_rec(k, n)
         for k in range(1, 5) for n in range(1, 31))

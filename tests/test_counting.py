@@ -63,7 +63,8 @@ def test_counting_rejects_bad_args():
     with pytest.raises(ValueError):
         tanglegram_count(0)
     with pytest.raises(ValueError):
-        tanglegram_count_mu(1)
+        tanglegram_count_mu(0)
+    assert tanglegram_count_mu(1) == 1
 
 
 def test_tree_oracle():
@@ -96,14 +97,14 @@ def test_recurrence_internals():
 
 
 def test_three_routes_agree():
-    for n in range(2, 26):
+    for n in range(1, 26):
         direct = tanglegram_count(n)
         assert tanglegram_count_rec(n) == direct
         assert tanglegram_count_mu(n) == direct
 
 
 def test_chain_recurrence_agrees():
-    for k in (1, 2, 3, 4):
+    for k in (1, 2, 3, 4, 5, 6):
         for n in range(1, 13):
             assert chain_count_rec(k, n) == chain_count(k, n)
 
