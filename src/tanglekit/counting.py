@@ -16,7 +16,7 @@ internal consistency check in the package.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, perm
 
 from .partition import binary_partitions, z_of
 from .tree import aut_size, cycle_type_table
@@ -128,52 +128,71 @@ def double_coset_count(T, S):
 #
 #   r(h, n, s) = sum_{m = n mod 2, m+2, ..., n}
 #                  c(h, m, s) * r(h+1, (n-m)/2, s + m*2^h)
-#   c(h, m, s) = prod_{j=1}^{m} (2*(s + j*2^h) - 1)^k / (j*2^h)
+#   c(h, m, s) = P(h, m, s) / (m! * 2^(h*m)),
+#   P(h, m, s) = prod_{j=1}^{m} (2*(s + j*2^h) - 1)^k
 #
 # and t(k, n) = r(0, n, 0) / (2n-1)^k.  Every state reached from
 # r(0, n0, 0) has s = n0 - n*2^h, so one table per (k, n0) keyed by
 # (h, n) holds them all.  The sampler in sample.py walks the same table
 # top down to draw a cycle type.
+#
+# The table holds integers only.  A state h >= 1 stores
+# R(h, n) = r(h, n) * n! * 2^(h*n), and with rho = (n-m)/2 the step reads
+#
+#   R(h, n) = sum_m P(h, m) * n!/(m! * rho!) * 2^((h-1)*rho) * R(h+1, rho),
+#
+# a sum of integers.  The top state (0, n0) is summed over n0! * 2^n0,
+# with terms P(0, m) * n0!/(m! * rho!) * 2^(m+rho) * R(1, rho), and that
+# sum is divided once, so the table stores r(0, n0) itself.  Along one
+# state, P * n!/(m! * rho!) is carried as one integer: from m to m + 2
+# it gains the two factors of P and rho, and loses (m+1)(m+2) by an
+# exact division.
 
 
 @lru_cache(maxsize=4)
 def _level_table(k, n0):
-    """The memo of r for chain length k and total size n0: a dict
-    (h, n) -> r(h, n, n0 - n*2^h).  The last few tables are kept, so a
+    """The memo of the (k, n0) recurrence: a dict (h, n) -> R(h, n) for
+    h >= 1, and (0, n0) -> r(0, n0).  The last few tables are kept, so a
     repeated count or a batch of samples at one size reuses its table."""
     return {}
 
 
 def level_terms(k, n0, h, n):
-    """Yield (m, c(h, m, s), (n-m)/2) for each admissible number m of
-    parts of size 2^h at the state (h, n) of the (k, n0) recurrence."""
+    """Yield (m, weight, (n-m)/2) for each admissible number m of parts
+    of size 2^h at the state (h, n) of the (k, n0) recurrence.  The
+    weights are integers; they sum to R(h, n) for h >= 1, and to
+    n! * 2^n * r(0, n) at the top state h = 0."""
     step = 1 << h
     s = n0 - n * step
     m = n % 2
-    if m == 0:
-        c = Fraction(1)
-    else:
-        c = Fraction((2 * (s + step) - 1) ** k, step)
-    yield m, c, (n - m) // 2
-    while m + 2 <= n:
-        c *= Fraction((2 * (s + (m + 1) * step) - 1) ** k, (m + 1) * step)
-        c *= Fraction((2 * (s + (m + 2) * step) - 1) ** k, (m + 2) * step)
+    rho = (n - m) // 2
+    carry = perm(n, n - rho)  # P * n!/(m! * rho!) with m <= 1
+    if m:
+        carry *= (2 * (s + step) - 1) ** k
+    while True:
+        shift = (h - 1) * rho if h else m + rho
+        yield m, (carry << shift) * level_r(k, n0, h + 1, rho), rho
+        if not rho:
+            return
+        grow = ((2 * (s + (m + 1) * step) - 1) * (2 * (s + (m + 2) * step) - 1)) ** k
+        carry = carry * (grow * rho) // ((m + 1) * (m + 2))
         m += 2
-        yield m, c, (n - m) // 2
+        rho -= 1
 
 
 def level_r(k, n0, h, n):
-    """r(h, n, n0 - n*2^h) for chain length k, memoized in the
-    (k, n0) table."""
+    """The table entry at (h, n) of the (k, n0) recurrence: R(h, n) for
+    h >= 1, r(0, n0) at the top state.  Both are 1 at n = 0."""
     if n == 0:
-        return Fraction(1)
+        return 1
     table = _level_table(k, n0)
     hit = table.get((h, n))
     if hit is not None:
         return hit
-    total = Fraction(0)
-    for _, c, rest in level_terms(k, n0, h, n):
-        total += c * level_r(k, n0, h + 1, rest)
+    total = sum(w for _, w, _ in level_terms(k, n0, h, n))
+    if h == 0:
+        total, rem = divmod(total, factorial(n) << n)
+        assert rem == 0, "top state failed to clear n! * 2^n"
     table[(h, n)] = total
     return total
 
@@ -183,9 +202,9 @@ def chain_count_rec(k, n):
     materialized, so this route scales to n in the thousands."""
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
-    val = level_r(k, n, 0, n) / Fraction((2 * n - 1) ** k)
-    assert val.denominator == 1, "recurrence value failed to clear its denominator"
-    return val.numerator
+    val, rem = divmod(level_r(k, n, 0, n), (2 * n - 1) ** k)
+    assert rem == 0, "recurrence value failed to clear its denominator"
+    return val
 
 
 def tanglegram_count_rec(n):

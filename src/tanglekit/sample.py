@@ -8,8 +8,9 @@ together with an automorphism of cycle type lam by splitting lam in two
 again and again, a loop whose output probability is exactly
 1/(|A(T)|*q(lam)), and finally matchings between neighboring trees are
 filled in by sampling a uniform conjugator.  All weights are exact
-integers over a common denominator; a single rng.randrange drives each
-categorical draw, so there is no floating-point bias anywhere.
+integers, read straight from the integer level table or put over a
+common denominator; a single rng.randrange drives each categorical
+draw, so there is no floating-point bias anywhere.
 
 Identical seeds give identical samples.  The rng argument everywhere is
 an owned random.Random-like object with randrange and shuffle.
@@ -18,7 +19,7 @@ an owned random.Random-like object with randrange and shuffle.
 import bisect
 import itertools
 from functools import lru_cache
-from math import lcm
+from math import factorial, lcm
 
 from .counting import level_r, level_terms
 from .partition import q_numerator, q_of, split_pairs
@@ -111,9 +112,9 @@ def random_automorphism(t, rng):
     return fold(t, (1,), join)
 
 
-# Categorical draws.  Weights are Fractions; putting them over their
-# lcm denominator turns the draw into one randrange over an integer
-# total plus a bisect, which is exact.
+# Categorical draws: one randrange over an integer total plus a bisect,
+# which is exact.  The second stage of the tree split weighs its options
+# with Fractions and puts them over their lcm denominator first.
 
 def _cumulative(weights):
     """Cumulative integer weights over the common denominator den, so
@@ -261,9 +262,10 @@ def random_tree_and_perm(parts, rng):
 # The draw of lam walks the level recurrence of counting.py top down,
 # the recursive method of Nijenhuis and Wilf.  At the state (h, n') of
 # the (k, n) table, n' units of size 2^h are left to place; the walk
-# takes m parts of size 2^h with weight c(h, m, s) * r(h+1, (n'-m)/2),
-# and these weights sum to r(h, n').  The step probabilities multiply
-# to z(lam)^(k-1) * q(lam)^k / t(k, n) for the partition built.
+# takes m parts of size 2^h with the integer weight that level_terms
+# gives the term m, and these weights sum to the state's table value
+# (scaled by n! * 2^n at the top state).  The step probabilities
+# multiply to z(lam)^(k-1) * q(lam)^k / t(k, n) for the partition built.
 
 @lru_cache(maxsize=1 << 12)
 def _lam_step(k, n, h, units):
@@ -271,11 +273,12 @@ def _lam_step(k, n, h, units):
     (k, n) table: (part counts m, cumulative integer weights)."""
     counts = []
     weights = []
-    for m, c, rest in level_terms(k, n, h, units):
+    for m, w, _ in level_terms(k, n, h, units):
         counts.append(m)
-        weights.append(c * level_r(k, n, h + 1, rest))
-    cum, den = _cumulative(weights)
-    assert cum[-1] == level_r(k, n, h, units) * den
+        weights.append(w)
+    cum = list(itertools.accumulate(weights))
+    assert cum[-1] == (level_r(k, n, h, units)
+                       * (factorial(units) << units if h == 0 else 1))
     return counts, cum
 
 

@@ -12,6 +12,7 @@ from tanglekit.counting import (
     chain_count_rec,
     double_coset_count,
     level_r,
+    level_terms,
     r_poly,
     tanglegram_count,
     tanglegram_count_mu,
@@ -94,6 +95,47 @@ def test_recurrence_internals():
     assert table[(0, 4)] == 637
     assert all(n * 2 ** h <= 4 for h, n in table)
     assert chain_count_rec(2, 4) == 637 // 7 ** 2 == 13
+
+
+def reference_level_r(k, n0):
+    """r(h, n, n0 - n*2^h) of every state reached from (0, n0), in
+    Fractions straight from the recurrence: c(h, m, s) is the product of
+    (2*(s + j*2^h) - 1)^k / (j*2^h) over j = 1..m."""
+    memo = {}
+
+    def r(h, n):
+        if n == 0:
+            return Fraction(1)
+        if (h, n) not in memo:
+            step = 1 << h
+            s = n0 - n * step
+            total = Fraction(0)
+            c = Fraction(1)
+            for m in range(n + 1):
+                if m:
+                    c *= Fraction((2 * (s + m * step) - 1) ** k, m * step)
+                if (n - m) % 2 == 0:
+                    total += c * r(h + 1, (n - m) // 2)
+            memo[(h, n)] = total
+        return memo[(h, n)]
+
+    r(0, n0)
+    return memo
+
+
+def test_level_table_against_fractions():
+    # every state h >= 1 holds r * n! * 2^(h*n), the top state r itself,
+    # and every term of every state is an int
+    for k in (1, 2, 3):
+        for n0 in range(1, 40):
+            chain_count_rec(k, n0)
+            table = _level_table(k, n0)
+            ref = reference_level_r(k, n0)
+            assert set(table) == set(ref), (k, n0)
+            for (h, n), r in ref.items():
+                want = r if h == 0 else r * factorial(n) * 2 ** (h * n)
+                assert type(table[(h, n)]) is int and table[(h, n)] == want, (k, n0, h, n)
+                assert all(type(w) is int for _, w, _ in level_terms(k, n0, h, n))
 
 
 def test_three_routes_agree():
