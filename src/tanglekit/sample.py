@@ -8,9 +8,9 @@ together with an automorphism of cycle type lam by splitting lam in two
 again and again, a loop whose output probability is exactly
 1/(|A(T)|*q(lam)), and finally matchings between neighboring trees are
 filled in by sampling a uniform conjugator.  All weights are exact
-integers, read straight from the integer level table or put over a
-common denominator; a single rng.randrange drives each categorical
-draw, so there is no floating-point bias anywhere.
+integers, read from the integer level table or scaled by z(lam); a
+single rng.randrange drives each categorical draw, so there is no
+floating-point bias anywhere.
 
 Identical seeds give identical samples.  The rng argument everywhere is
 an owned random.Random-like object with randrange and shuffle.
@@ -19,10 +19,10 @@ an owned random.Random-like object with randrange and shuffle.
 import bisect
 import itertools
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, gcd
 
 from .counting import level_r, level_terms
-from .partition import q_numerator, q_of, split_pairs
+from .partition import q_numerator, split_pairs, z_of
 from .perm import interleave, sample_conjugator
 from .tree import LEAF, count_occurrences, fold, node, symmetry_count
 
@@ -112,20 +112,14 @@ def random_automorphism(t, rng):
     return fold(t, (1,), join)
 
 
-# Categorical draws: one randrange over an integer total plus a bisect,
-# which is exact.  The second stage of the tree split weighs its options
-# with Fractions and puts them over their lcm denominator first.
-
-def _cumulative(weights):
-    """Cumulative integer weights over the common denominator den, so
-    that option i has probability (cum[i] - cum[i-1]) / cum[-1]."""
-    den = lcm(*(w.denominator for w in weights))
-    return list(itertools.accumulate(w.numerator * (den // w.denominator) for w in weights)), den
-
+# Categorical draws: every option table holds cumulative integer
+# weights, drawn with one randrange over their total plus a bisect,
+# which is exact.
 
 def _pick(cum, rng):
-    """Index of an option drawn with the weights of a _cumulative list;
-    a single option takes no randomness."""
+    """Index of an option drawn from the cumulative integer weights cum,
+    option i with probability (cum[i] - cum[i-1]) / cum[-1]; a single
+    option takes no randomness."""
     if len(cum) == 1:
         return 0
     return bisect.bisect_right(cum, rng.randrange(cum[-1]))
@@ -201,10 +195,15 @@ def _left_sizes(parts):
 @lru_cache(maxsize=1 << 12)
 def _splits_of_size(parts, left):
     """Option table of the second stage: the splits (a, b) of `parts`
-    with |a| = left, weighted q(a)*q(b)."""
+    with |a| = left, weighted by the integer z(lam)*q(a)*q(b), which is
+    z(lam) // (z(a)*z(b)) = prod_r C(m_r, t_r) times q_numerator(a) *
+    q_numerator(b), divided by the gcd of these weights."""
     splits = list(split_pairs(parts, left))
-    cum, _ = _cumulative([q_of(a) * q_of(b) for a, b in splits])
-    return splits, cum
+    z = z_of(parts)
+    weights = [z // (z_of(a) * z_of(b)) * q_numerator(a) * q_numerator(b)
+               for a, b in splits]
+    g = gcd(*weights)
+    return splits, list(itertools.accumulate(w // g for w in weights))
 
 
 _JOIN = object()

@@ -1,10 +1,13 @@
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+import tanglekit
 from tanglekit.counting import (
     _level_table,
     catalan,
@@ -77,10 +80,20 @@ def test_tree_oracle():
 
 
 def test_tree_oracle_is_a_loop():
-    # a recursive recurrence would need 3000 frames
-    assert sys.getrecursionlimit() < 3000
-    b = tree_count_oracle(3000)
-    assert len(str(b)) == 1180
+    # a recursive recurrence would need 400 frames, over a recursion
+    # limit of 200 in the child; the level table checks the value
+    script = (
+        "import sys\n"
+        "from tanglekit.counting import tree_count_oracle\n"
+        "sys.setrecursionlimit(200)\n"
+        "print(tree_count_oracle(400))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tanglekit.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == chain_count_rec(1, 400)
 
 
 def test_recurrence_internals():

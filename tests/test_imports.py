@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used in that module,
-and every module-level private name is used somewhere in the package."""
+every module-level private name is used somewhere in the package, and
+the sampler imports no rational arithmetic."""
 
 import ast
 from pathlib import Path
@@ -70,3 +71,15 @@ def test_no_unused_private_names():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     found = unused_private_names(sources)
     assert not found, "unused private names: " + ", ".join("%s:%s" % key for key in found)
+
+
+def test_sampler_is_integer_only():
+    # every option table of the sampler holds integers: nothing from
+    # fractions, no lcm to put Fractions over one denominator, no q_of
+    imported = set()
+    for node in ast.walk(ast.parse((SRC / "sample.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.name for alias in node.names)
+    assert not imported & {"fractions", "Fraction", "lcm", "q_of"}, imported

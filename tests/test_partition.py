@@ -9,7 +9,7 @@ from tanglekit.partition import (
     split_pairs,
     z_of,
 )
-from tanglekit.sample import _left_sizes
+from tanglekit.sample import _left_sizes, _splits_of_size
 
 
 def bp_count(n):
@@ -114,7 +114,8 @@ def test_left_sizes_against_split_listing():
     # the walk over the runs gives each left size A the weight
     # z(lam) * sum q(a)*q(b) over the listed splits with |a| = A, and the
     # halved option z(lam) * q(lam/2); when lam is one run (c^m) the one
-    # split of size A is the slice the tree build takes
+    # split of size A is the slice the tree build takes, and otherwise
+    # _splits_of_size lists the splits of size A weighted q(a)*q(b)
     for n in range(2, 17):
         for lam in binary_partitions(n):
             by_size = {}
@@ -132,6 +133,14 @@ def test_left_sizes_against_split_listing():
                 if lam[0] == lam[-1]:
                     t = size // lam[0]
                     assert list(split_pairs(lam, size)) == [(lam[:t], lam[t:])], (lam, size)
+                else:
+                    splits, split_cum = _splits_of_size(lam, size)
+                    assert splits == list(split_pairs(lam, size)), (lam, size)
+                    assert len(split_cum) == len(splits), (lam, size)
+                    split_weights = [q_of(a) * q_of(b) for a, b in splits]
+                    total = sum(split_weights)
+                    for c, prev, q in zip(split_cum, [0] + split_cum, split_weights):
+                        assert Fraction(c - prev, split_cum[-1]) == q / total, (lam, size)
                 sizes.append(size)
                 assert Fraction(w, z_of(lam)) == sum(q_of(a) * q_of(b)
                                                      for a, b in by_size[size]), (lam, size)
