@@ -178,18 +178,20 @@ def _left_sizes(parts):
                 after[A + c] = after.get(A + c, 0) + w * (2 * (A + c) - 1)
             weight = after
             placed += c
-    options = []
-    weights = []
-    for A in sorted(weight):
-        if 0 < A < n:
-            options.append(A)
-            weights.append(weight[A] // ((2 * A - 1) * (2 * (n - A) - 1)))
+    options = [A for A in sorted(weight) if 0 < A < n]
+    weights = [weight[A] // ((2 * A - 1) * (2 * (n - A) - 1)) for A in options]
     if parts[-1] > 1:
         options.append(None)
         weights.append(q_numerator(tuple(p // 2 for p in parts)) << len(parts))
     cum = list(itertools.accumulate(weights))
     assert cum[-1] == 2 * q_numerator(parts)
     return options, cum
+
+
+def q_of(parts):
+    """q(parts) as the integers (q_numerator, z); partition.q_of is the
+    same ratio as a Fraction.  perfbench's tracer times it by this name."""
+    return q_numerator(parts), z_of(parts)
 
 
 @lru_cache(maxsize=1 << 12)
@@ -200,8 +202,10 @@ def _splits_of_size(parts, left):
     q_numerator(b), divided by the gcd of these weights."""
     splits = list(split_pairs(parts, left))
     z = z_of(parts)
-    weights = [z // (z_of(a) * z_of(b)) * q_numerator(a) * q_numerator(b)
-               for a, b in splits]
+    weights = []
+    for a, b in splits:
+        (qa, za), (qb, zb) = q_of(a), q_of(b)
+        weights.append(z // (za * zb) * qa * qb)
     g = gcd(*weights)
     return splits, list(itertools.accumulate(w // g for w in weights))
 
@@ -270,11 +274,7 @@ def random_tree_and_perm(parts, rng):
 def _lam_step(k, n, h, units):
     """Option table of the lam walk at the state (h, units) of the
     (k, n) table: (part counts m, cumulative integer weights)."""
-    counts = []
-    weights = []
-    for m, w, _ in level_terms(k, n, h, units):
-        counts.append(m)
-        weights.append(w)
+    counts, weights, _ = zip(*level_terms(k, n, h, units))
     cum = list(itertools.accumulate(weights))
     assert cum[-1] == (level_r(k, n, h, units)
                        * (factorial(units) << units if h == 0 else 1))

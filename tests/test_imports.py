@@ -75,7 +75,8 @@ def test_no_unused_private_names():
 
 def test_sampler_is_integer_only():
     # every option table of the sampler holds integers: nothing from
-    # fractions, no lcm to put Fractions over one denominator, no q_of
+    # fractions, no lcm to put Fractions over one denominator, and not
+    # partition.q_of, which returns a Fraction
     imported = set()
     for node in ast.walk(ast.parse((SRC / "sample.py").read_text())):
         if isinstance(node, ast.ImportFrom):
