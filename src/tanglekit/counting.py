@@ -11,12 +11,14 @@ general k counts ordered tangled chains of length k.  Three independent
 routes to the same numbers are provided: the direct sum, a recurrence
 that never touches partitions explicitly, and (for k = 2) a rearranged
 sum with a Catalan prefactor.  Agreement of all three is the strongest
-internal consistency check in the package.
+internal consistency check in the package.  The direct sum lists only
+the parts of size 4 and up; the 2s and 1s that complete them are folded
+in closed form, one tail per number of units left.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, perm
+from math import comb, factorial, perm, prod
 
 from .partition import binary_partitions, z_of
 from .tree import aut_size, cycle_type_table
@@ -26,15 +28,23 @@ def _power_sum(n, k):
     """n! * (2n-1)^k * t(k,n) as one exact integer.
 
     Walks the tree of binary partitions, part sizes from the largest
-    power of 2 down, carrying two quantities along each branch:
+    power of 2 down to 4, carrying two quantities along each branch:
     W = n!/z(partial) and the product of (2r-1)^k over the parts placed,
     where r is the sum of a part and all parts after it.  No part is
     skipped, so a whole partition lam adds n! * (2n-1)^k * z^(k-1) * q^k:
     the largest part's factor is always (2n-1)^k, and the caller divides
-    it out once.  A trailing run of r ones is folded in closed form: its
-    suffix sums are r, r-1, ..., 1, so it contributes ((2r-1)!!)^k / r!.
-    Every intermediate division is exact because partial centralizer
-    orders divide n!.
+    it out once.
+
+    The walk stops where only 2s and 1s are left to place, and adds
+    W * numer into acc[s], s being the units left.  Every completion of
+    such a leaf is j twos and then s - 2j ones, so after the walk each s
+    gets its tail once, summed over j:
+    acc[s] / (j! * 2^j * (s-2j)!) * ((2(s-2j)-1)!!)^k * G(s, j), where
+    G(s, j) = prod_{l<j} (2(s-2l)-1)^k are the factors of the j twos
+    (suffix sums s, s-2, ...).  Each division is exact: z(partial) *
+    2^j * j! * (s-2j)! is the z of a whole partition and divides n!, so
+    every W, hence acc[s], is a multiple of j! * 2^j * (s-2j)!.  The
+    walk's own divisions are exact for the same reason.
     """
     fact = [1] * (n + 1)
     for i in range(1, n + 1):
@@ -42,15 +52,14 @@ def _power_sum(n, k):
     tail = [1] * (n + 1)
     for m in range(1, n + 1):
         tail[m] = tail[m - 1] * (2 * m - 1) ** k
-    total = 0
+    acc = [0] * (n + 1)
 
     def rec(r, p, W, numer):
-        nonlocal total
         while p > r:
             p //= 2
-        if p <= 1:
-            # only ones are left, or nothing (r = 0 leaves p = 0)
-            total += W // fact[r] * tail[r] * numer
+        if p <= 2:
+            # only 2s and 1s are left, or nothing (r = 0 leaves p = 0)
+            acc[r] += W * numer
             return
         rec(r, p // 2, W, numer)
         m = 0
@@ -62,6 +71,16 @@ def _power_sum(n, k):
             rec(r, p // 2, W, numer)
 
     rec(n, 1 << (n.bit_length() - 1), fact[n], 1)
+    total = 0
+    for s, a in enumerate(acc):
+        if not a:
+            continue
+        twos = 1  # j! * 2^j
+        grow = 1  # G(s, j)
+        for j in range(s // 2 + 1):
+            total += a // (twos * fact[s - 2 * j]) * tail[s - 2 * j] * grow
+            grow *= (2 * (s - 2 * j) - 1) ** k
+            twos *= 2 * (j + 1)
     return total
 
 
@@ -226,26 +245,33 @@ def tanglegram_count_mu(n):
     power of 2 (parts >= 2), including mu = (), whose summand is 1.
     Parts >= 2 force |mu| even, so mu is twice a binary partition of
     |mu|/2.  For n = 1 only mu = () occurs and c_0 = 1, so t_1 = 1.
+
+    The sum is taken in integers over one common denominator
+    D = n! * ((2n-3)!!)^2.  Each summand's denominator divides D: z(mu)
+    divides |mu|!, hence n!, and the odd factors of one mu are distinct
+    odd numbers below 2n - 1; the factors of part i run down from
+    2n - 2(mu_1+...+mu_{i-1}) - 3 in steps of 2.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    acc = Fraction(0)
+    odd = prod(range(1, 2 * n - 2, 2))  # (2n-3)!!
+    D = factorial(n) * odd * odd
+    acc = 0  # D times the sum
     falling = 1  # n(n-1)...(n-m2+1)
     for m2 in range(0, n + 1, 2):
         for nu in binary_partitions(m2 // 2):
             mu = tuple(2 * p for p in nu)
-            den = z_of(mu)
-            prefix = 0
+            f = 1  # the odd factors of mu, each taken once
+            left = n
             for part in mu:
-                for j in range(1, part):
-                    den *= (2 * n - 2 * prefix - 2 * j - 1) ** 2
-                prefix += part
-            acc += Fraction(falling, den)
+                f *= prod(range(2 * (left - part) + 1, 2 * left - 2, 2))
+                left -= part
+            acc += falling * (D // (z_of(mu) * f * f))
         falling *= (n - m2) * (n - m2 - 1)
     c = catalan(n - 1)
-    val = Fraction(c * c * factorial(n), 4 ** (n - 1)) * acc
-    assert val.denominator == 1, "mu-form sum failed to clear its denominator"
-    return val.numerator
+    val, rem = divmod(c * c * acc, (odd * odd) << (2 * n - 2))
+    assert rem == 0, "mu-form sum failed to clear its denominator"
+    return val
 
 
 def r_poly(indices, x):

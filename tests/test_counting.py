@@ -23,6 +23,7 @@ from tanglekit.counting import (
     tree_count,
     tree_count_oracle,
 )
+from tanglekit.partition import binary_partitions, q_of, z_of
 from tanglekit.tree import LEAF, enumerate_trees, node
 
 T_SEQ = [1, 1, 2, 13, 114, 1509, 25595, 535753, 13305590, 382728552]
@@ -59,6 +60,15 @@ def test_chain_example():
     # 1/2 + 27/6 = 5
     assert chain_count(3, 3) == 5
     assert Fraction(1, 2) + Fraction(27, 6) == 5
+
+
+def test_direct_sum_against_partition_listing():
+    # the folded walk against the formula summed over a listing, with
+    # n large enough that every remainder of 2s and 1s occurs
+    for k, top in ((1, 40), (2, 40), (3, 40), (4, 24), (5, 24), (6, 24)):
+        for n in range(1, top + 1):
+            want = sum(z_of(lam) ** (k - 1) * q_of(lam) ** k for lam in binary_partitions(n))
+            assert chain_count(k, n) == want, (k, n)
 
 
 def test_counting_rejects_bad_args():

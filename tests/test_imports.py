@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module,
-every module-level private name is used somewhere in the package, and
-the sampler imports no rational arithmetic."""
+every module-level private name is used somewhere in the package, the
+sampler imports no rational arithmetic, and the counting routes stay
+independent of one another."""
 
 import ast
 from pathlib import Path
@@ -84,3 +85,21 @@ def test_sampler_is_integer_only():
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             imported.update(alias.name for alias in node.names)
     assert not imported & {"fractions", "Fraction", "lcm", "q_of"}, imported
+
+
+def names_in_functions(source):
+    """A dict of module-level function name -> the names and attributes
+    its body refers to."""
+    return {stmt.name: {node.id if isinstance(node, ast.Name) else node.attr
+                        for node in ast.walk(stmt) if isinstance(node, (ast.Name, ast.Attribute))}
+            for stmt in ast.parse(source).body if isinstance(stmt, ast.FunctionDef)}
+
+
+def test_counting_routes_are_independent():
+    # the direct and mu sums never read the level table, and the level
+    # recurrence never lists partitions, so their agreement is a check
+    names = names_in_functions((SRC / "counting.py").read_text())
+    for route in ("_power_sum", "chain_count", "tanglegram_count_mu"):
+        assert not names[route] & {"level_terms", "level_r", "_level_table"}, route
+    for route in ("level_terms", "level_r"):
+        assert not names[route] & {"_power_sum", "binary_partitions"}, route
