@@ -12,17 +12,17 @@ family "b" replaces it by its Stirling form,
 
 Only this module touches floating point; everything else in the package
 is exact.  Arithmetic is mpmath at a caller-chosen precision
-(default 200 bits).
+(default 200 bits).  This module also formats every float the CLI
+prints: to_decimal and relative_error return strings.
 """
 
 from fractions import Fraction
+from math import factorial
 
-from mpmath import mp, mpf, sqrt, exp, power, pi
+from mpmath import mp, mpf, nstr, sqrt, exp, power, pi
 
 from .counting import catalan
 from .tree import enumerate_trees, symmetry_count
-
-from math import factorial
 
 COEFFS_A = (
     Fraction(1),
@@ -105,6 +105,18 @@ def f_fixed_point(precision=200):
     with mp.workprec(precision):
         g = +g
     return g
+
+
+def to_decimal(x, precision):
+    """x in decimal, to the digits `precision` bits carry and at least 8."""
+    return nstr(x, max(int(precision * 0.301), 8), strip_zeros=False)
+
+
+def relative_error(x, exact, precision):
+    """x / exact - 1 at `precision` + 20 bits, to 6 significant digits."""
+    with mp.workprec(precision + 20):
+        rel = x / mpf(exact) - 1
+    return nstr(rel, 6)
 
 
 def generator_weight_sum(n):

@@ -31,8 +31,6 @@ import random
 import sys
 from functools import lru_cache
 
-from mpmath import mp, mpf, nstr
-
 from . import asym, counting, oracle, sample, tree
 
 
@@ -181,20 +179,16 @@ def _cmd_sample(args):
 
 
 def _cmd_asym(args):
-    digits = max(int(args.precision * 0.301), 8)
     val = asym.t_asym(args.n, args.terms, args.family, args.precision)
-    print(nstr(val, digits, strip_zeros=False))
+    print(asym.to_decimal(val, args.precision))
     if args.n <= 2000:
         exact = counting.tanglegram_count_rec(args.n)
-        with mp.workprec(args.precision + 20):
-            rel = val / mpf(exact) - 1
-        print("relative error vs exact: %s" % nstr(rel, 6))
+        print("relative error vs exact: %s" % asym.relative_error(val, exact, args.precision))
     return 0
 
 
 def _cmd_const(args):
-    digits = max(int(args.precision * 0.301), 8)
-    print(nstr(asym.f_fixed_point(args.precision), digits, strip_zeros=False))
+    print(asym.to_decimal(asym.f_fixed_point(args.precision), args.precision))
     return 0
 
 

@@ -155,32 +155,30 @@ def double_coset_count(T, S):
 # (h, n) holds them all.  The sampler in sample.py walks the same table
 # top down to draw a cycle type.
 #
-# The table holds integers only.  A state h >= 1 stores
-# R(h, n) = r(h, n) * n! * 2^(h*n), and with rho = (n-m)/2 the step reads
+# The table holds integers only.  Every state stores
+# R(h, n) = r(h, n) * n! * 2^(max(h, 1) * n), and with rho = (n-m)/2 the
+# step reads
 #
-#   R(h, n) = sum_m P(h, m) * n!/(m! * rho!) * 2^((h-1)*rho) * R(h+1, rho),
+#   R(h, n) = sum_m P(h, m) * n!/(m! * rho!) * 2^((h-1)*rho) * R(h+1, rho)
 #
-# a sum of integers.  The top state (0, n0) is summed over n0! * 2^n0,
-# with terms P(0, m) * n0!/(m! * rho!) * 2^(m+rho) * R(1, rho), and that
-# sum is divided once, so the table stores r(0, n0) itself.  Along one
-# state, P * n!/(m! * rho!) is carried as one integer: from m to m + 2
-# it gains the two factors of P and rho, and loses (m+1)(m+2) by an
-# exact division.
+# for h >= 1, with 2^(m+rho) in place of 2^((h-1)*rho) at the top state.
+# So every entry is the sum of its terms, and chain_count_rec divides
+# R(0, n0) once, by n0! * 2^n0 * (2n0-1)^k.  Along one state,
+# P * n!/(m! * rho!) is carried as one integer: from m to m + 2 it gains
+# the two factors of P and rho, and loses (m+1)(m+2) by exact division.
 
 
 @lru_cache(maxsize=4)
 def _level_table(k, n0):
-    """The memo of the (k, n0) recurrence: a dict (h, n) -> R(h, n) for
-    h >= 1, and (0, n0) -> r(0, n0).  The last few tables are kept, so a
-    repeated count or a batch of samples at one size reuses its table."""
+    """The memo of the (k, n0) recurrence, a dict (h, n) -> R(h, n); the
+    last few are kept, so a batch of samples at one size reuses its table."""
     return {}
 
 
 def level_terms(k, n0, h, n):
-    """Yield (m, weight, (n-m)/2) for each admissible number m of parts
-    of size 2^h at the state (h, n) of the (k, n0) recurrence.  The
-    weights are integers; they sum to R(h, n) for h >= 1, and to
-    n! * 2^n * r(0, n) at the top state h = 0."""
+    """Yield (m, weight) for each admissible number m of parts of size
+    2^h at the state (h, n) of the (k, n0) recurrence.  The weights are
+    integers and sum to the table entry level_r(k, n0, h, n)."""
     step = 1 << h
     s = n0 - n * step
     m = n % 2
@@ -190,7 +188,7 @@ def level_terms(k, n0, h, n):
         carry *= (2 * (s + step) - 1) ** k
     while True:
         shift = (h - 1) * rho if h else m + rho
-        yield m, (carry << shift) * level_r(k, n0, h + 1, rho), rho
+        yield m, (carry << shift) * level_r(k, n0, h + 1, rho)
         if not rho:
             return
         grow = ((2 * (s + (m + 1) * step) - 1) * (2 * (s + (m + 2) * step) - 1)) ** k
@@ -200,28 +198,25 @@ def level_terms(k, n0, h, n):
 
 
 def level_r(k, n0, h, n):
-    """The table entry at (h, n) of the (k, n0) recurrence: R(h, n) for
-    h >= 1, r(0, n0) at the top state.  Both are 1 at n = 0."""
+    """R(h, n) = r(h, n) * n! * 2^(max(h, 1) * n) of the (k, n0) table,
+    the sum of the weights level_terms yields at (h, n); 1 at n = 0."""
     if n == 0:
         return 1
     table = _level_table(k, n0)
     hit = table.get((h, n))
-    if hit is not None:
-        return hit
-    total = sum(w for _, w, _ in level_terms(k, n0, h, n))
-    if h == 0:
-        total, rem = divmod(total, factorial(n) << n)
-        assert rem == 0, "top state failed to clear n! * 2^n"
-    table[(h, n)] = total
-    return total
+    if hit is None:
+        hit = table[(h, n)] = sum(w for _, w in level_terms(k, n0, h, n))
+    return hit
 
 
+@lru_cache(maxsize=4)
 def chain_count_rec(k, n):
-    """t(k,n) by the level recurrence above; no partition is ever
-    materialized, so this route scales to n in the thousands."""
+    """t(k,n) = R(0, n) / (n! * 2^n * (2n-1)^k) by the level recurrence
+    above, which lists no partition, so it scales to n in the thousands.
+    The last few counts are kept, which spares a repeat the division."""
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
-    val, rem = divmod(level_r(k, n, 0, n), (2 * n - 1) ** k)
+    val, rem = divmod(level_r(k, n, 0, n), (factorial(n) << n) * (2 * n - 1) ** k)
     assert rem == 0, "recurrence value failed to clear its denominator"
     return val
 

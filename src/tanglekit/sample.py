@@ -19,7 +19,7 @@ an owned random.Random-like object with randrange and shuffle.
 import bisect
 import itertools
 from functools import lru_cache
-from math import factorial, gcd
+from math import gcd
 
 from .counting import level_r, level_terms
 from .partition import q_numerator, split_pairs, z_of
@@ -267,17 +267,16 @@ def random_tree_and_perm(parts, rng):
 # the (k, n) table, n' units of size 2^h are left to place; the walk
 # takes m parts of size 2^h with the integer weight that level_terms
 # gives the term m, and these weights sum to the state's table value
-# (scaled by n! * 2^n at the top state).  The step probabilities
-# multiply to z(lam)^(k-1) * q(lam)^k / t(k, n) for the partition built.
+# level_r.  The step probabilities multiply to
+# z(lam)^(k-1) * q(lam)^k / t(k, n) for the partition built.
 
 @lru_cache(maxsize=1 << 12)
 def _lam_step(k, n, h, units):
     """Option table of the lam walk at the state (h, units) of the
     (k, n) table: (part counts m, cumulative integer weights)."""
-    counts, weights, _ = zip(*level_terms(k, n, h, units))
+    counts, weights = zip(*level_terms(k, n, h, units))
     cum = list(itertools.accumulate(weights))
-    assert cum[-1] == (level_r(k, n, h, units)
-                       * (factorial(units) << units if h == 0 else 1))
+    assert cum[-1] == level_r(k, n, h, units)
     return counts, cum
 
 

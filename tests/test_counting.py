@@ -107,15 +107,17 @@ def test_tree_oracle_is_a_loop():
 
 
 def test_recurrence_internals():
-    # level_r(k, n0, h, n) is r(h, n, n0 - n*2^h) for chain length k
+    # level_r(k, n0, h, n) is r(h, n, n0 - n*2^h) * n! * 2^(max(h, 1)*n)
+    # for chain length k: 1 * 0! * 2^0 in the base case, and
+    # r(0, n0) * n0! * 2^n0 at the top state
     for h in range(5):
         for n0 in (0, 3, 12):
             assert level_r(2, n0, h, 0) == 1
-    assert level_r(2, 4, 0, 4) == 637
-    assert level_r(3, 3, 0, 3) == 625
+    assert level_r(2, 4, 0, 4) == 637 * factorial(4) * 2 ** 4 == 244608
+    assert level_r(3, 3, 0, 3) == 625 * factorial(3) * 2 ** 3
     # one table per (k, n0), keyed by (h, n); the count reads it
     table = _level_table(2, 4)
-    assert table[(0, 4)] == 637
+    assert table[(0, 4)] == 244608
     assert all(n * 2 ** h <= 4 for h, n in table)
     assert chain_count_rec(2, 4) == 637 // 7 ** 2 == 13
 
@@ -147,7 +149,7 @@ def reference_level_r(k, n0):
 
 
 def test_level_table_against_fractions():
-    # every state h >= 1 holds r * n! * 2^(h*n), the top state r itself,
+    # every state holds r * n! * 2^(max(h, 1)*n), the sum of its terms,
     # and every term of every state is an int
     for k in (1, 2, 3):
         for n0 in range(1, 40):
@@ -156,9 +158,11 @@ def test_level_table_against_fractions():
             ref = reference_level_r(k, n0)
             assert set(table) == set(ref), (k, n0)
             for (h, n), r in ref.items():
-                want = r if h == 0 else r * factorial(n) * 2 ** (h * n)
+                want = r * factorial(n) * 2 ** (max(h, 1) * n)
                 assert type(table[(h, n)]) is int and table[(h, n)] == want, (k, n0, h, n)
-                assert all(type(w) is int for _, w, _ in level_terms(k, n0, h, n))
+                weights = [w for _, w in level_terms(k, n0, h, n)]
+                assert all(type(w) is int for w in weights)
+                assert sum(weights) == level_r(k, n0, h, n), (k, n0, h, n)
 
 
 def test_three_routes_agree():

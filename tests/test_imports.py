@@ -1,7 +1,7 @@
 """Every name a module of the package imports is used in that module,
 every module-level private name is used somewhere in the package, the
-sampler imports no rational arithmetic, and the counting routes stay
-independent of one another."""
+sampler imports no rational arithmetic, only asym.py imports mpmath,
+and the counting routes stay independent of one another."""
 
 import ast
 from pathlib import Path
@@ -85,6 +85,22 @@ def test_sampler_is_integer_only():
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             imported.update(alias.name for alias in node.names)
     assert not imported & {"fractions", "Fraction", "lcm", "q_of"}, imported
+
+
+def test_only_asym_imports_mpmath():
+    # floats live in asym.py alone, which also formats those the CLI prints
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(m.split(".")[0] == "mpmath" for m in modules):
+                found.append(path.name)
+    assert set(found) <= {"asym.py"}, found
 
 
 def names_in_functions(source):
