@@ -31,7 +31,7 @@ import random
 import sys
 from functools import lru_cache
 
-from . import asym, counting, oracle, sample, tree
+from . import counting, oracle, sample, tree
 
 
 def _positive(s):
@@ -178,7 +178,10 @@ def _cmd_sample(args):
     return 0
 
 
+# asym loads mpmath, so only the two commands that print floats import it.
+
 def _cmd_asym(args):
+    from . import asym
     val = asym.t_asym(args.n, args.terms, args.family, args.precision)
     print(asym.to_decimal(val, args.precision))
     if args.n <= 2000:
@@ -188,6 +191,7 @@ def _cmd_asym(args):
 
 
 def _cmd_const(args):
+    from . import asym
     print(asym.to_decimal(asym.f_fixed_point(args.precision), args.precision))
     return 0
 

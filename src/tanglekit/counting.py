@@ -106,13 +106,14 @@ def tree_count(n):
     return chain_count(1, n)
 
 
-def tree_count_oracle(n):
-    """b_n by the classical recurrence from B(x) = x + (B(x)^2 + B(x^2))/2:
-    2*b_n = sum_{i=1}^{n-1} b_i b_{n-i} + [n even] b_{n/2}, summed here
-    over i < n/2 with the middle term b_{n/2}*(b_{n/2}+1)/2 added for
-    even n.  A plain loop, so any n stays within the recursion limit."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+@lru_cache(maxsize=4)
+def tree_count_table(n):
+    """(b_0, b_1, ..., b_n), for n >= 1, by the classical recurrence from
+    B(x) = x + (B(x)^2 + B(x^2))/2: 2*b_m = sum_{i=1}^{m-1} b_i b_{m-i}
+    + [m even] b_{m/2}, summed here over i < m/2 with the middle term
+    b_{m/2}*(b_{m/2}+1)/2 added for even m.  A plain loop, so any n
+    stays within the recursion limit.  The last few tables are kept,
+    so a batch of tree samples at one size builds its table once."""
     b = [0, 1]
     for m in range(2, n + 1):
         tot = sum(b[i] * b[m - i] for i in range(1, (m + 1) // 2))
@@ -120,7 +121,14 @@ def tree_count_oracle(n):
             half = b[m // 2]
             tot += half * (half + 1) // 2
         b.append(tot)
-    return b[n]
+    return tuple(b)
+
+
+def tree_count_oracle(n):
+    """b_n read from tree_count_table(n), the classical recurrence."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    return tree_count_table(n)[n]
 
 
 def double_coset_count(T, S):

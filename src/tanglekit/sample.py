@@ -1,16 +1,18 @@
 """Uniform random generation of tanglegrams, trees, and tangled chains.
 
-The sampling route is the same for all three objects.  A binary
-partition lam of n is drawn with exact rational weights (z*q^2 for
-tanglegrams, q for trees, z^(k-1)*q^k for chains) by a walk over the
-level-recurrence table of counting.py, then each tree is built
-together with an automorphism of cycle type lam by splitting lam in two
-again and again, a loop whose output probability is exactly
-1/(|A(T)|*q(lam)), and finally matchings between neighboring trees are
-filled in by sampling a uniform conjugator.  All weights are exact
-integers, read from the integer level table or scaled by z(lam); a
-single rng.randrange drives each categorical draw, so there is no
-floating-point bias anywhere.
+Tanglegrams and chains follow the paper's route.  A binary partition
+lam of n is drawn with exact rational weights (z*q^2 for tanglegrams,
+z^(k-1)*q^k for chains of length k) by a walk over the level-recurrence
+table of counting.py, then each tree is built together with an
+automorphism of cycle type lam by splitting lam in two again and again,
+a loop whose output probability is exactly 1/(|A(T)|*q(lam)), and
+finally matchings between neighboring trees are filled in by sampling
+a uniform conjugator.  A single tree needs no cycle type: random_tree
+draws it by the recursive method over the tree counts b_m, and
+random_chain(1, n) keeps the paper's route as an independent check of
+it.  All weights are exact integers, read from the integer tables or
+scaled by z(lam); a single rng.randrange drives each categorical draw,
+so there is no floating-point bias anywhere.
 
 Identical seeds give identical samples.  The rng argument everywhere is
 an owned random.Random-like object with randrange and shuffle.
@@ -21,7 +23,7 @@ import itertools
 from functools import lru_cache
 from math import gcd
 
-from .counting import level_r, level_terms
+from .counting import level_r, level_terms, tree_count_table
 from .partition import q_numerator, split_pairs, z_of
 from .perm import interleave, sample_conjugator
 from .tree import LEAF, count_occurrences, fold, node, symmetry_count
@@ -123,6 +125,17 @@ def _pick(cum, rng):
     if len(cum) == 1:
         return 0
     return bisect.bisect_right(cum, rng.randrange(cum[-1]))
+
+
+def _pick_scan(weights, total, rng):
+    """Index of an option drawn from the integer weights, an iterable
+    that sums to total: option j with probability weights[j] / total.
+    The weights are read in order, and only up to the option drawn."""
+    x = rng.randrange(total)
+    for j, w in enumerate(weights):
+        x -= w
+        if x < 0:
+            return j
 
 
 # The tree sampler splits lam into an ordered pair of nonempty halves
@@ -319,10 +332,59 @@ def random_tanglegram(n, rng):
     return Tanglegram(left, right, matching)
 
 
+# A uniform tree of size m >= 2 joins a tree of size i to one of size
+# m - i.  By the tree counts b of counting.tree_count_table, the options
+# are, with weights that sum to 2*b_m:
+#   i = 1 .. ceil(m/2) - 1, two independent trees, weight 2*b_i*b_(m-i);
+#   i = m/2 for even m, two independent trees, weight b_(m/2)^2;
+#   i = m/2 + 1 for even m, one tree of size m/2 doubled, weight b_(m/2).
+# Every tree of size m then has probability 1/b_m: with subtrees of
+# sizes i < m - i it is one pair, drawn with probability 2/(2*b_m); with
+# two distinct halves it is either of two ordered pairs, and with two
+# equal halves T it is the pair (T, T) or T doubled, each of them drawn
+# with probability 1/(2*b_m).  This is the recursive method of
+# Nijenhuis and Wilf; scanning from the small side, as _pick_scan does,
+# costs O(n log n) expected (Flajolet, Zimmermann and Van Cutsem 1994).
+
+def _tree_weights(b, m):
+    """The weights of the options at size m, smallest i first."""
+    for i in range(1, (m + 1) // 2):
+        yield 2 * b[i] * b[m - i]
+    if m % 2 == 0:
+        half = b[m // 2]
+        yield half * half
+        yield half
+
+
 def random_tree(n, rng):
-    """Uniform over the inequivalent binary trees with n leaves."""
-    (t,), _ = _draw_chain(1, n, rng)
-    return t
+    """Uniform over the inequivalent binary trees with n leaves.
+
+    The subtrees are built by a loop over an explicit stack, in the
+    order a recursion would take: the smaller subtree's draws first."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    b = tree_count_table(n)
+    todo = [n]
+    done = []
+    while todo:
+        m = todo.pop()
+        if m is _JOIN:
+            t2 = done.pop()
+            done.append(node(done.pop(), t2))
+        elif m is _DOUBLE:
+            t1 = done.pop()
+            done.append(node(t1, t1))
+        elif m == 1:
+            done.append(LEAF)
+        else:
+            # b_m = 1 at m = 2, 3: one tree, so no draw, as _pick takes
+            # none for one option
+            i = 1 if b[m] == 1 else _pick_scan(_tree_weights(b, m), 2 * b[m], rng) + 1
+            if i > m // 2:
+                todo += (_DOUBLE, m // 2)
+            else:
+                todo += (_JOIN, m - i, i)
+    return done[0]
 
 
 def cherry_statistics(n, samples, rng, pattern=None):

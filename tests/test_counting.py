@@ -153,7 +153,7 @@ def test_level_table_against_fractions():
     # and every term of every state is an int
     for k in (1, 2, 3):
         for n0 in range(1, 40):
-            chain_count_rec(k, n0)
+            level_r(k, n0, 0, n0)
             table = _level_table(k, n0)
             ref = reference_level_r(k, n0)
             assert set(table) == set(ref), (k, n0)

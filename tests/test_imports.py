@@ -1,9 +1,13 @@
 """Every name a module of the package imports is used in that module,
 every module-level private name is used somewhere in the package, the
-sampler imports no rational arithmetic, only asym.py imports mpmath,
-and the counting routes stay independent of one another."""
+sampler imports no rational arithmetic, only asym.py imports mpmath and
+only the commands that print floats load it, and the counting routes
+stay independent of one another."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import tanglekit
@@ -101,6 +105,24 @@ def test_only_asym_imports_mpmath():
             if any(m.split(".")[0] == "mpmath" for m in modules):
                 found.append(path.name)
     assert set(found) <= {"asym.py"}, found
+
+
+def test_cli_loads_mpmath_only_for_floats():
+    # importing the CLI and sampling a tree leave mpmath unloaded;
+    # const, which prints a float, loads it
+    script = (
+        "import sys\n"
+        "import tanglekit.cli as cli\n"
+        "assert cli.run(['sample', 'tree', '--n', '5', '--seed', '1', '--count', '1']) == 0\n"
+        "assert 'mpmath' not in sys.modules, 'sample tree loaded mpmath'\n"
+        "assert cli.run(['const', 'f-quarter', '--precision', '64']) == 0\n"
+        "assert 'mpmath' in sys.modules\n"
+    )
+    src = str(SRC.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def names_in_functions(source):

@@ -88,30 +88,65 @@ def test_tree_and_perm_empty_partition_rejected():
         random_tree_and_perm((), rng)
 
 
-def test_tree_and_perm_is_a_loop():
-    # an rng that always answers 0 takes the smallest left half at every
-    # vertex, so (1,)*400 builds the 400-leaf caterpillar with the
-    # identity, 399 vertices deep, under a recursion limit of 200
+def _in_child_at_depth_limit(body):
+    """Runs body in a child interpreter under a recursion limit of 200,
+    after defining Zero, an rng that always answers 0, and cat, the
+    400-leaf caterpillar, 399 vertices deep; asserts that it exits 0."""
     script = (
         "import sys\n"
-        "from tanglekit.sample import random_tree_and_perm\n"
+        "from tanglekit import sample\n"
         "from tanglekit.tree import LEAF, node\n"
         "class Zero:\n"
         "    def randrange(self, n):\n"
         "        return 0\n"
         "sys.setrecursionlimit(200)\n"
-        "t, w = random_tree_and_perm((1,) * 400, Zero())\n"
         "cat = LEAF\n"
         "for _ in range(399):\n"
         "    cat = node(cat, LEAF)\n"
-        "assert t.leaves == 400 and t == cat, t.key\n"
-        "assert w == tuple(range(1, 401)), w\n"
-    )
+    ) + body
     src = os.path.dirname(os.path.dirname(os.path.abspath(sample.__file__)))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_tree_and_perm_is_a_loop():
+    # Zero takes the smallest left half at every vertex, so (1,)*400
+    # builds the caterpillar with the identity
+    _in_child_at_depth_limit(
+        "t, w = sample.random_tree_and_perm((1,) * 400, Zero())\n"
+        "assert t.leaves == 400 and t == cat, t.key\n"
+        "assert w == tuple(range(1, 401)), w\n")
+
+
+def test_random_tree_is_a_loop():
+    # Zero takes the smallest subtree at every vertex
+    _in_child_at_depth_limit(
+        "t = sample.random_tree(400, Zero())\n"
+        "assert t.leaves == 400 and t == cat, t.key\n")
+
+
+def test_pick_scan_exact():
+    # each x that randrange can return lands on option j for exactly
+    # w_j values of x, and the scan reads no weight past the one drawn
+    class Fixed:
+        def __init__(self, x, total):
+            self.x, self.total = x, total
+
+        def randrange(self, n):
+            assert n == self.total
+            return self.x
+
+    for weights in ([1], [3], [1, 1], [0, 2, 0, 1], [5, 0, 3], [2, 7, 1, 4], [1, 0]):
+        total = sum(weights)
+        hits = Counter()
+        for x in range(total):
+            it = iter(weights)
+            j = sample._pick_scan(it, total, Fixed(x, total))
+            assert len(list(it)) == len(weights) - j - 1, (weights, x)
+            hits[j] += 1
+        assert hits == Counter({j: w for j, w in enumerate(weights) if w}), weights
 
 
 def test_tree_and_perm_consistency():
@@ -212,6 +247,8 @@ def test_random_tanglegram_uniform_n4():
 
 def test_random_tree_uniform():
     rng = random.Random(41)
+    with pytest.raises(ValueError):
+        random_tree(0, rng)
     assert random_tree(3, rng) == parse("((..).)")
     draws = 6000
     counts = Counter(random_tree(6, rng) for _ in range(draws))
@@ -308,10 +345,11 @@ def test_canonical_chain_rep_invariant():
 # ----------------------------------------------------- exact uniformity
 
 class _Replay:
-    """Stands in for the rng, and through it for sample._pick: each draw
-    takes the branch that the path names, or the first possible branch
-    past the path's end, and records the exact probability of every
-    branch it had.  shuffle is Fisher-Yates on randrange."""
+    """Stands in for the rng, and through it for sample._pick and
+    sample._pick_scan: each draw takes the branch that the path names,
+    or the first possible branch past the path's end, and records the
+    exact probability of every branch it had.  shuffle is Fisher-Yates
+    on randrange."""
 
     def __init__(self, path):
         self.path = path
@@ -328,6 +366,11 @@ class _Replay:
         return self._branch([Fraction(c - prev, cum[-1])
                              for prev, c in zip([0] + cum, cum)])
 
+    def pick_scan(self, weights, total):
+        weights = list(weights)
+        assert sum(weights) == total
+        return self._branch([Fraction(w, total) for w in weights])
+
     def randrange(self, n):
         return self._branch([Fraction(1, n)] * n)
 
@@ -342,6 +385,8 @@ def _exact_distribution(draw, monkeypatch):
     once per path through its choice tree, and each output collects the
     product of its path's branch probabilities."""
     monkeypatch.setattr(sample, "_pick", lambda cum, rng: rng.pick(cum))
+    monkeypatch.setattr(sample, "_pick_scan",
+                        lambda weights, total, rng: rng.pick_scan(weights, total))
     out = {}
     path = []
     while True:
@@ -373,10 +418,12 @@ def test_exact_uniform_tanglegrams(monkeypatch):
 
 
 def test_exact_uniform_trees(monkeypatch):
-    for n in range(1, 9):
-        dist = _exact_distribution(lambda r: random_tree(n, r), monkeypatch)
-        assert set(dist) == set(enumerate_trees(n))
-        assert set(dist.values()) == {Fraction(1, tree_count(n))}, n
+    # the recursive method over b_n, and the paper's route at k = 1
+    for draw in (random_tree, lambda n, r: random_chain(1, n, r).trees[0]):
+        for n in range(1, 9):
+            dist = _exact_distribution(lambda r: draw(n, r), monkeypatch)
+            assert set(dist) == set(enumerate_trees(n))
+            assert set(dist.values()) == {Fraction(1, tree_count(n))}, n
 
 
 def test_exact_uniform_chains(monkeypatch):
