@@ -19,7 +19,7 @@ the sum of z^(k-1)*q^k is the number of tangled chains of length k.
 """
 
 from fractions import Fraction
-from itertools import accumulate, groupby
+from itertools import groupby, product
 
 
 def binary_partitions(n, max_part=None):
@@ -79,33 +79,15 @@ def q_of(lam):
     return Fraction(q_numerator(lam), z_of(lam))
 
 
-def split_pairs(parts, left=None):
+def split_pairs(parts):
     """Yield every ordered pair (mu, nu) of sub-multisets with
     mu + nu = parts, both halves allowed to be empty.
 
     A partition with multiplicities m_1, ..., m_r over its distinct
-    parts produces prod (m_i + 1) ordered splits.  With `left`, only
-    the splits with |mu| = left are yielded; a branch is cut as soon as
-    the parts still to place cannot bring mu to that size.
+    parts produces prod (m_i + 1) ordered splits: mu takes t_i of the
+    m_i parts of each run, and nu the rest.
     """
     runs = [(c, len(list(g))) for c, g in groupby(parts)]
-    rest = list(accumulate(c * m for c, m in reversed(runs)))[::-1] + [0]
-
-    def rec(idx, left_sum, mu, nu):
-        if idx == len(runs):
-            yield tuple(mu), tuple(nu)
-            return
-        c, m = runs[idx]
-        takes = range(m + 1)
-        if left is not None:
-            # mu must reach `left` with the runs after this one, and not pass it
-            takes = range(max(0, -((rest[idx + 1] + left_sum - left) // c)),
-                          min(m, (left - left_sum) // c) + 1)
-        for take in takes:
-            mu.extend([c] * take)
-            nu.extend([c] * (m - take))
-            yield from rec(idx + 1, left_sum + take * c, mu, nu)
-            del mu[len(mu) - take:]
-            del nu[len(nu) - (m - take):]
-
-    yield from rec(0, 0, [], [])
+    for takes in product(*(range(m + 1) for _, m in runs)):
+        yield (sum(((c,) * t for (c, _), t in zip(runs, takes)), ()),
+               sum(((c,) * (m - t) for (c, m), t in zip(runs, takes)), ()))

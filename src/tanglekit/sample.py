@@ -1,17 +1,17 @@
 """Uniform random generation of tanglegrams, trees, and tangled chains.
 
 Tanglegrams and chains follow the paper's route.  A binary partition
-lam of n is drawn with exact rational weights (z*q^2 for tanglegrams,
-z^(k-1)*q^k for chains of length k) by a walk over the level-recurrence
-table of counting.py, then each tree is built together with an
-automorphism of cycle type lam by splitting lam in two again and again,
-a loop whose output probability is exactly 1/(|A(T)|*q(lam)), and
-finally matchings between neighboring trees are filled in by sampling
-a uniform conjugator.  A single tree needs no cycle type: random_tree
-draws it by the recursive method over the tree counts b_m, and
-random_chain(1, n) keeps the paper's route as an independent check of
-it.  All weights are exact integers, read from the integer tables or
-scaled by z(lam); a single rng.randrange drives each categorical draw,
+lam of n is drawn with probability proportional to z*q^2 for
+tanglegrams, z^(k-1)*q^k for chains of length k, by a walk over the
+integer level-recurrence table of counting.py.  Each tree is then
+built together with an automorphism of cycle type lam by inserting the
+cycles of a fixed permutation of that type one by one, Remy-style, a
+loop whose output probability is exactly 1/(|A(T)|*q(lam)).  Finally matchings between
+neighboring trees are filled in by sampling a uniform conjugator.  A
+single tree needs no cycle type: random_tree draws it by the recursive
+method over the tree counts b_m, and random_chain(1, n) keeps the
+paper's route as an independent check of it.  Every draw is one
+rng.randrange, over an integer total where the options are weighted,
 so there is no floating-point bias anywhere.
 
 Identical seeds give identical samples.  The rng argument everywhere is
@@ -21,7 +21,6 @@ an owned random.Random-like object with randrange and shuffle.
 import bisect
 import itertools
 from functools import lru_cache
-from math import gcd
 
 from .counting import level_r, level_terms, tree_count_table
 from .partition import q_numerator, split_pairs, z_of
@@ -138,141 +137,113 @@ def _pick_scan(weights, total, rng):
             return j
 
 
-# The tree sampler splits lam into an ordered pair of nonempty halves
-# (a, b) with weight q(a)*q(b), or, when every part is even, halves it
-# with weight q(lam/2); the weights add up to 2*q(lam).  The split is
-# drawn in two stages, in the recursive style of Nijenhuis and Wilf:
-# first the size A = |a| of the left half, then a split of that size.
-# A one-run lam (c^m) has one split of each size, so the tree build
-# slices it, with no second draw; any other lam lists the splits of the
-# size drawn.
-#
-# Scaled by z(lam), the weights are integers.  z(a)*z(b) is z(lam)
-# divided by prod_r C(m_r, t_r), where t_r of the m_r parts c_r go to a,
-# and q_numerator(a) is the product of (2*running sum - 1) over the
-# parts of a added smallest first, without the last factor 2|a| - 1.
-# So the weight of size A is a walk over the parts of lam, smallest
-# first, with states (parts placed, left sum A): a part c placed on the
-# left multiplies by 2(A + c) - 1, on the right by 2(B + c) - 1, where
-# B is the right sum.  Walking the m parts of a run one by one sums
-# over the C(m, t) orders of placing t of them on the left, so the
-# binomials come for free.  The first run starts from the one state
-# A = 0 and is done in closed form.  Each final state A is divided by
-# (2A - 1)(2(|lam| - A) - 1), which every one of its paths ends with,
-# so the division is exact.
-
-@lru_cache(maxsize=1 << 12)
-def _left_sizes(parts):
-    """Option table of the first stage at `parts`: (options, cum), with
-    cumulative integer weights z(lam) * sum q(a)*q(b) over the splits of
-    each left size A, and z(lam) * q(lam/2) for the halved option None
-    when every part is even.  Every option is a size A or None: the tree
-    build slices the one split of size A out of a one-run lam (c^m) and
-    draws one from _splits_of_size for any other lam.  The weights total
-    2*q_numerator(lam); that identity is what makes the output
-    probability come out to 1/(|A(T)|*q(lam)), so it is asserted here."""
-    n = sum(parts)
-    runs = [(c, len(list(g))) for c, g in itertools.groupby(reversed(parts))]
-    (c, m), later = runs[0], runs[1:]
-    # t of the first m parts on the left: C(m, t) * F(t) * F(m - t), with
-    # F(t) = prod_{j<=t} (2jc - 1); each weight is the last one times a ratio
-    w = 1
-    for j in range(1, m + 1):
-        w *= 2 * j * c - 1
-    weight = {0: w}
-    for t in range(1, m + 1):
-        w = w * (m - t + 1) * (2 * t * c - 1) // (t * (2 * (m - t + 1) * c - 1))
-        weight[t * c] = w
-    placed = c * m
-    for c, m in later:
-        for _ in range(m):
-            after = {A: w * (2 * (placed - A + c) - 1) for A, w in weight.items()}
-            for A, w in weight.items():
-                after[A + c] = after.get(A + c, 0) + w * (2 * (A + c) - 1)
-            weight = after
-            placed += c
-    options = [A for A in sorted(weight) if 0 < A < n]
-    weights = [weight[A] // ((2 * A - 1) * (2 * (n - A) - 1)) for A in options]
-    if parts[-1] > 1:
-        options.append(None)
-        weights.append(q_numerator(tuple(p // 2 for p in parts)) << len(parts))
-    cum = list(itertools.accumulate(weights))
-    assert cum[-1] == 2 * q_numerator(parts)
-    return options, cum
-
-
 def q_of(parts):
     """q(parts) as the integers (q_numerator, z); partition.q_of is the
-    same ratio as a Fraction.  perfbench's tracer times it by this name."""
+    same ratio as a Fraction."""
     return q_numerator(parts), z_of(parts)
 
 
-@lru_cache(maxsize=1 << 12)
-def _splits_of_size(parts, left):
-    """Option table of the second stage: the splits (a, b) of `parts`
-    with |a| = left, weighted by the integer z(lam)*q(a)*q(b), which is
-    z(lam) // (z(a)*z(b)) = prod_r C(m_r, t_r) times q_numerator(a) *
-    q_numerator(b), divided by the gcd of these weights."""
-    splits = list(split_pairs(parts, left))
-    z = z_of(parts)
-    weights = []
-    for a, b in splits:
-        (qa, za), (qb, zb) = q_of(a), q_of(b)
-        weights.append(z // (za * zb) * qa * qb)
-    g = gcd(*weights)
-    return splits, list(itertools.accumulate(w // g for w in weights))
+# No code here calls q_of, split_pairs or interleave, but
+# perfbench/hooks.py times them by these module attributes and silently
+# leaves out every layer metric whose name is gone.  They can go when
+# the bench reads spans of its own (ROADMAP N1b).
+PERFBENCH_NAMES = (q_of, split_pairs, interleave)
 
 
-_JOIN = object()
-_DOUBLE = object()
-
+# The tree lemma: the number of leaf-labelled trees fixed by a given
+# permutation sigma of cycle type lam is z(lam)*q(lam), the product of
+# 2s - 1 over the sizes s of the suffixes (lam_i, ..., lam_len), i >= 2.
+# Such a tree is built by inserting the cycles of sigma smallest first,
+# each above one of the 2s - 1 vertices of the tree on the s leaves
+# placed so far, together with that vertex's orbit; for lam = (1^n) this
+# is Remy's algorithm (RAIRO Inform. Theor. 19 (1985) 179-195).  Each
+# choice sequence gives a different labelled tree, and removing the
+# last cycle undoes its insertion, so every sigma-invariant tree comes
+# out with probability 1/(z*q).  Read out with a fair coin at every
+# vertex whose two subtrees coincide, the pair (T, w) then has
+# probability z * 1/(z*q) * 1/|A(T)| = 1/(|A(T)|*q(lam)).
 
 def random_tree_and_perm(parts, rng):
     """A pair (T, w) with w an automorphism of T of cycle type `parts`,
     hit with probability exactly 1/(|A(T)| * q(parts)).
 
-    A nonempty split (lam1, lam2) builds the two subtrees and joins them
-    with node, which puts them in canonical order; the permutations
-    follow their subtrees.  The halved option builds one subtree T1 with
-    a permutation of type parts/2, doubles the tree, and interleaves so
-    the two copies are swapped by w.  The subtrees are built by a loop
-    over an explicit stack, in the order a recursion would take: the
-    left half's draws, then the right half's, and for the halved option
-    the draws of T1, then its automorphism.
+    The tree is kept as flat lists over vertex ids 0..V-1: the two
+    children (-1 at a leaf), the parent (-1 at the root) and sigma.  A
+    cycle of length c brings the vertices (e, j), j < e, for
+    e = d, 2d, ..., c: (e, j) sits above the cycle's leaves whose index
+    is j mod e, so its children are (2e, j) and (2e, j + e), (c, j) is a
+    leaf, and sigma sends (e, j) to (e, j + 1 mod e).  The first cycle
+    has d = 1 and is the whole tree.  Each later one draws a vertex v of
+    the tree so far; the sigma-orbit of v has a size d that divides c,
+    as every part is a power of 2 and none placed is longer than c, and
+    a new vertex p_t takes the place of sigma^t(v) with the children
+    sigma^t(v) and (d, t).  T and w are then read off by loops, so depth
+    is not limited: node gives T bottom up, a coin orders each pair of
+    equal subtrees, and a DFS numbers the leaves.
     """
     if not parts:
         raise ValueError("empty partition")
-    todo = [parts]
-    done = []
-    while todo:
-        item = todo.pop()
-        if item is _JOIN:
-            t2, w2 = done.pop()
-            t1, w1 = done.pop()
-            t = node(t1, t2)
-            if t.left is not t1:
-                w1, w2 = w2, w1
-            k = t.left.leaves
-            done.append((t, w1 + tuple(v + k for v in w2)))
-        elif item is _DOUBLE:
-            t1, w2 = done.pop()
-            w1 = random_automorphism(t1, rng)
-            done.append((node(t1, t1), interleave(w1, w2)))
-        elif item == (1,):
-            done.append((LEAF, (1,)))
-        else:
-            options, cum = _left_sizes(item)
-            A = options[_pick(cum, rng)]
-            if A is None:
-                todo += (_DOUBLE, tuple(p // 2 for p in item))
-            elif item[0] == item[-1]:
-                t = A // item[0]
-                todo += (_JOIN, item[t:], item[:t])
+    left, right, parent, sigma = [], [], [], []
+    root = 0
+    for c in reversed(parts):
+        orbit = []
+        if sigma:
+            v = rng.randrange(len(sigma))
+            orbit.append(v)
+            while sigma[orbit[-1]] != v:
+                orbit.append(sigma[orbit[-1]])
+        d = len(orbit) or 1
+        base = len(sigma) - d  # (e, j) gets the id base + e + j
+        e = d
+        while e <= c:
+            for j in range(e):
+                sigma.append(base + e + (j + 1) % e)
+                left.append(base + 2 * e + j if e < c else -1)
+                right.append(base + 3 * e + j if e < c else -1)
+                parent.append(base + e // 2 + j % (e // 2) if e > d else -1)
+            e *= 2
+        top = len(sigma)
+        for t, u in enumerate(orbit):
+            p = parent[u]
+            if p < 0:
+                root = top + t
+            elif left[p] == u:
+                left[p] = top + t
             else:
-                splits, cum = _splits_of_size(item, A)
-                a, b = splits[_pick(cum, rng)]
-                todo += (_JOIN, b, a)
-    return done[0]
+                right[p] = top + t
+            sigma.append(top + (t + 1) % d)
+            left.append(u)
+            right.append(base + d + t)
+            parent.append(p)
+            parent[u] = parent[base + d + t] = top + t
+    # ancestors come before descendants in this breadth-first order
+    order = [root]
+    for v in order:
+        if left[v] >= 0:
+            order += (left[v], right[v])
+    tree = [LEAF] * len(sigma)
+    for v in reversed(order):
+        a, b = left[v], right[v]
+        if a >= 0:
+            t = tree[v] = node(tree[a], tree[b])
+            # read the children in node's order, or by a coin when equal
+            if t.left == t.right:
+                swap = rng.randrange(2)
+            else:
+                swap = t.left is not tree[a]
+            if swap:
+                left[v], right[v] = b, a
+    pos = [0] * len(sigma)
+    leaves = []
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        if left[v] < 0:
+            leaves.append(v)
+            pos[v] = len(leaves)
+        else:
+            stack += (right[v], left[v])
+    return tree[root], tuple(pos[sigma[v]] for v in leaves)
 
 
 # The draw of lam walks the level recurrence of counting.py top down,
@@ -354,6 +325,10 @@ def _tree_weights(b, m):
         half = b[m // 2]
         yield half * half
         yield half
+
+
+_JOIN = object()
+_DOUBLE = object()
 
 
 def random_tree(n, rng):

@@ -14,5 +14,5 @@ def test_caches_are_bounded():
             if callable(getattr(obj, "cache_info", None)):
                 sizes["%s.%s" % (info.name, name)] = obj.cache_info().maxsize
     assert {"counting._level_table", "counting.tree_count_table", "sample._lam_step",
-            "sample._left_sizes", "sample._splits_of_size", "cli._build_parser"} <= set(sizes)
+            "cli._build_parser"} <= set(sizes)
     assert not [name for name, maxsize in sizes.items() if maxsize is None], sizes

@@ -9,7 +9,6 @@ from tanglekit.partition import (
     split_pairs,
     z_of,
 )
-from tanglekit.sample import _left_sizes, _splits_of_size
 
 
 def bp_count(n):
@@ -98,65 +97,6 @@ def halved_q(lam):
     return q_of(tuple(p // 2 for p in lam)) if lam[-1] > 1 else 0
 
 
-def test_halve():
-    # the tree sampler offers the halved partition, as its last option
-    # None, exactly when every part is even, weighted q(lam/2)
-    assert halved_q((4, 2)) == q_of((2, 1)) == Fraction(1, 2)
-    assert halved_q((2, 1)) == 0
-    options, cum = _left_sizes((4, 2))
-    assert options[-1] is None and None not in options[:-1]
-    assert Fraction(cum[-1] - cum[-2], cum[-1]) == halved_q((4, 2)) / (2 * q_of((4, 2)))
-    options, _ = _left_sizes((2, 1))
-    assert None not in options
-
-
-def test_left_sizes_against_split_listing():
-    # the walk over the runs gives each left size A the weight
-    # z(lam) * sum q(a)*q(b) over the listed splits with |a| = A, and the
-    # halved option z(lam) * q(lam/2); when lam is one run (c^m) the one
-    # split of size A is the slice the tree build takes, and otherwise
-    # _splits_of_size lists the splits of size A weighted q(a)*q(b)
-    for n in range(2, 17):
-        for lam in binary_partitions(n):
-            by_size = {}
-            for a, b in split_pairs(lam):
-                if a and b:
-                    by_size.setdefault(sum(a), []).append((a, b))
-            options, cum = _left_sizes(lam)
-            weights = [c - prev for prev, c in zip([0] + cum, cum)]
-            sizes = []
-            for size, w in zip(options, weights):
-                if size is None:
-                    assert Fraction(w, z_of(lam)) == halved_q(lam), lam
-                    continue
-                assert type(size) is int, (lam, size)
-                if lam[0] == lam[-1]:
-                    t = size // lam[0]
-                    assert list(split_pairs(lam, size)) == [(lam[:t], lam[t:])], (lam, size)
-                else:
-                    splits, split_cum = _splits_of_size(lam, size)
-                    assert splits == list(split_pairs(lam, size)), (lam, size)
-                    assert len(split_cum) == len(splits), (lam, size)
-                    split_weights = [q_of(a) * q_of(b) for a, b in splits]
-                    total = sum(split_weights)
-                    for c, prev, q in zip(split_cum, [0] + split_cum, split_weights):
-                        assert Fraction(c - prev, split_cum[-1]) == q / total, (lam, size)
-                sizes.append(size)
-                assert Fraction(w, z_of(lam)) == sum(q_of(a) * q_of(b)
-                                                     for a, b in by_size[size]), (lam, size)
-            assert sizes == sorted(by_size), lam
-            assert (options[-1] is None) == (lam[-1] > 1), lam
-
-
-def test_split_pairs_of_one_size():
-    for n in range(1, 17):
-        for lam in binary_partitions(n):
-            pairs = list(split_pairs(lam))
-            for size in range(n + 1):
-                assert list(split_pairs(lam, size)) == [
-                    (a, b) for a, b in pairs if sum(a) == size], (lam, size)
-
-
 def test_split_pairs_counts_and_unions():
     for lam in [(2, 1, 1), (4, 2, 2, 1), (1, 1, 1), (8,)]:
         pairs = list(split_pairs(lam))
@@ -176,8 +116,9 @@ def test_split_pairs_counts_and_unions():
 
 def test_split_identity():
     # 2*q(lam) = q(lam/2) + sum over splits into two nonempty halves of
-    # q(half1)*q(half2), for every binary partition with |lam| >= 2.
-    # This is what makes the tree sampler's option weights add up.
+    # q(half1)*q(half2), for every binary partition with |lam| >= 2:
+    # the root of a tree with an automorphism of type lam either splits
+    # lam between its two subtrees or swaps them and halves it.
     for n in range(2, 21):
         for lam in binary_partitions(n):
             total = halved_q(lam)

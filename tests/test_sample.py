@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import random
@@ -112,8 +113,8 @@ def _in_child_at_depth_limit(body):
 
 
 def test_tree_and_perm_is_a_loop():
-    # Zero takes the smallest left half at every vertex, so (1,)*400
-    # builds the caterpillar with the identity
+    # Zero inserts every leaf above vertex 0, the first leaf, so
+    # (1,)*400 builds the caterpillar with the identity
     _in_child_at_depth_limit(
         "t, w = sample.random_tree_and_perm((1,) * 400, Zero())\n"
         "assert t.leaves == 400 and t == cat, t.key\n"
@@ -347,32 +348,31 @@ def test_canonical_chain_rep_invariant():
 class _Replay:
     """Stands in for the rng, and through it for sample._pick and
     sample._pick_scan: each draw takes the branch that the path names,
-    or the first possible branch past the path's end, and records the
-    exact probability of every branch it had.  shuffle is Fisher-Yates
-    on randrange."""
+    or the first possible branch past the path's end.  A uniform draw
+    records only its number of branches, a weighted one its integer
+    weights.  shuffle is Fisher-Yates on randrange."""
 
     def __init__(self, path):
         self.path = path
-        self.probs = []
+        self.draws = []
 
-    def _branch(self, probs):
-        i = len(self.probs)
-        self.probs.append(probs)
+    def _branch(self, draw):
+        i = len(self.draws)
+        self.draws.append(draw)
         if i == len(self.path):
-            self.path.append(next(j for j, p in enumerate(probs) if p))
+            self.path.append(0 if type(draw) is int else next(j for j, w in enumerate(draw) if w))
         return self.path[i]
 
     def pick(self, cum):
-        return self._branch([Fraction(c - prev, cum[-1])
-                             for prev, c in zip([0] + cum, cum)])
+        return self._branch([c - prev for prev, c in zip([0] + cum, cum)])
 
     def pick_scan(self, weights, total):
         weights = list(weights)
         assert sum(weights) == total
-        return self._branch([Fraction(w, total) for w in weights])
+        return self._branch(weights)
 
     def randrange(self, n):
-        return self._branch([Fraction(1, n)] * n)
+        return self._branch(n)
 
     def shuffle(self, x):
         for i in reversed(range(1, len(x))):
@@ -382,8 +382,9 @@ class _Replay:
 
 def _exact_distribution(draw, monkeypatch):
     """The exact output distribution of draw(rng): the sampler is re-run
-    once per path through its choice tree, and each output collects the
-    product of its path's branch probabilities."""
+    once per path through its choice tree, and each output collects its
+    path's probability, one Fraction of the products of the branch
+    weights taken and of the branch totals."""
     monkeypatch.setattr(sample, "_pick", lambda cum, rng: rng.pick(cum))
     monkeypatch.setattr(sample, "_pick_scan",
                         lambda weights, total, rng: rng.pick_scan(weights, total))
@@ -392,15 +393,22 @@ def _exact_distribution(draw, monkeypatch):
     while True:
         rep = _Replay(path)
         obj = draw(rep)
-        assert len(rep.probs) == len(path)
-        p = Fraction(1)
-        for probs, i in zip(rep.probs, path):
-            p *= probs[i]
-        out[obj] = out.get(obj, 0) + p
+        assert len(rep.draws) == len(path)
+        num = den = 1
+        for d, i in zip(rep.draws, path):
+            if type(d) is int:
+                den *= d
+            else:
+                num *= d[i]
+                den *= sum(d)
+        out[obj] = out.get(obj, 0) + Fraction(num, den)
         # advance the deepest draw that has a further possible branch
         while path:
-            probs = rep.probs[len(path) - 1]
-            nxt = next((j for j in range(path[-1] + 1, len(probs)) if probs[j]), None)
+            d = rep.draws[len(path) - 1]
+            if type(d) is int:
+                nxt = path[-1] + 1 if path[-1] + 1 < d else None
+            else:
+                nxt = next((j for j in range(path[-1] + 1, len(d)) if d[j]), None)
             if nxt is not None:
                 path[-1] = nxt
                 break
@@ -410,26 +418,27 @@ def _exact_distribution(draw, monkeypatch):
 
 
 def test_exact_uniform_tanglegrams(monkeypatch):
+    rep = functools.cache(canonical_rep)
     for n in range(1, 5):
-        dist = _exact_distribution(lambda r: canonical_rep(random_tanglegram(n, r)),
-                                   monkeypatch)
+        dist = _exact_distribution(lambda r: rep(random_tanglegram(n, r)), monkeypatch)
         assert len(dist) == tanglegram_count(n)
         assert set(dist.values()) == {Fraction(1, tanglegram_count(n))}, n
 
 
 def test_exact_uniform_trees(monkeypatch):
-    # the recursive method over b_n, and the paper's route at k = 1
-    for draw in (random_tree, lambda n, r: random_chain(1, n, r).trees[0]):
-        for n in range(1, 9):
+    # the recursive method over b_n for n <= 8, and the paper's route at
+    # k = 1 for n <= 7, whose choice tree has one path per labelled tree
+    for draw, top in ((random_tree, 8), (lambda n, r: random_chain(1, n, r).trees[0], 7)):
+        for n in range(1, top + 1):
             dist = _exact_distribution(lambda r: draw(n, r), monkeypatch)
             assert set(dist) == set(enumerate_trees(n))
             assert set(dist.values()) == {Fraction(1, tree_count(n))}, n
 
 
 def test_exact_uniform_chains(monkeypatch):
+    rep = functools.cache(canonical_chain_rep)
     for n in range(1, 4):
-        dist = _exact_distribution(lambda r: canonical_chain_rep(random_chain(3, n, r)),
-                                   monkeypatch)
+        dist = _exact_distribution(lambda r: rep(random_chain(3, n, r)), monkeypatch)
         assert len(dist) == chain_count(3, n)
         assert set(dist.values()) == {Fraction(1, chain_count(3, n))}, n
 
@@ -437,7 +446,7 @@ def test_exact_uniform_chains(monkeypatch):
 def test_exact_tree_and_perm_lemma(monkeypatch):
     # every (T, w) with w in A(T) of cycle type lam is hit with
     # probability exactly 1/(|A(T)| q(lam))
-    for n in range(1, 7):
+    for n in range(1, 8):
         for lam in binary_partitions(n):
             dist = _exact_distribution(lambda r: random_tree_and_perm(lam, r), monkeypatch)
             assert set(dist) == {(t, w) for t in enumerate_trees(n)
