@@ -71,6 +71,43 @@ def test_direct_sum_against_partition_listing():
             assert chain_count(k, n) == want, (k, n)
 
 
+def test_mu_sum_against_partition_listing():
+    # the walk over parts >= 4 and its folded 2s against the docstring's
+    # formula summed over a listing of every mu = 2*nu, n large enough
+    # that every remainder L, 0, 1 and 2 included, occurs
+    for n in range(1, 41):
+        total = Fraction(0)
+        for m2 in range(0, n + 1, 2):
+            for nu in binary_partitions(m2 // 2):
+                mu = tuple(2 * p for p in nu)
+                den = z_of(mu)
+                left = n
+                for part in mu:
+                    for j in range(1, part):
+                        den *= (2 * left - 2 * j - 1) ** 2
+                    left -= part
+                total += Fraction(factorial(n) // factorial(n - m2), den)
+        c = catalan(n - 1)
+        assert tanglegram_count_mu(n) == c * c * factorial(n) * total / 4 ** (n - 1), n
+
+
+def test_mu_walk_is_shallow():
+    # the walk recurses once per part size, about log2(n) frames, so
+    # n = 400 fits a recursion limit of 100 in the child
+    script = (
+        "import sys\n"
+        "from tanglekit.counting import tanglegram_count_mu\n"
+        "sys.setrecursionlimit(100)\n"
+        "print(tanglegram_count_mu(400))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tanglekit.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == tanglegram_count_rec(400)
+
+
 def test_counting_rejects_bad_args():
     with pytest.raises(ValueError):
         chain_count(0, 3)
@@ -166,7 +203,7 @@ def test_level_table_against_fractions():
 
 
 def test_three_routes_agree():
-    for n in range(1, 26):
+    for n in range(1, 61):
         direct = tanglegram_count(n)
         assert tanglegram_count_rec(n) == direct
         assert tanglegram_count_mu(n) == direct

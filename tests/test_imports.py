@@ -141,3 +141,6 @@ def test_counting_routes_are_independent():
         assert not names[route] & {"level_terms", "level_r", "_level_table"}, route
     for route in ("level_terms", "level_r"):
         assert not names[route] & {"_power_sum", "binary_partitions"}, route
+    # the direct and mu sums each fold a tail of 2s, in code of their own
+    assert not names["tanglegram_count_mu"] & {"_power_sum", "chain_count", "tanglegram_count"}
+    assert "tanglegram_count_mu" not in names["_power_sum"]
