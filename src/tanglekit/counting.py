@@ -192,9 +192,10 @@ def _level_table(k, n0):
 
 
 def level_terms(k, n0, h, n):
-    """Yield (m, weight) for each admissible number m of parts of size
-    2^h at the state (h, n) of the (k, n0) recurrence.  The weights are
-    integers and sum to the table entry level_r(k, n0, h, n)."""
+    """Yield the integer weight of each admissible number m of parts of
+    size 2^h at the state (h, n) of the (k, n0) recurrence, in the order
+    m = n % 2, n % 2 + 2, ..., n.  The weights sum to the table entry
+    level_r(k, n0, h, n)."""
     step = 1 << h
     s = n0 - n * step
     m = n % 2
@@ -204,7 +205,7 @@ def level_terms(k, n0, h, n):
         carry *= (2 * (s + step) - 1) ** k
     while True:
         shift = (h - 1) * rho if h else m + rho
-        yield m, (carry << shift) * level_r(k, n0, h + 1, rho)
+        yield (carry << shift) * level_r(k, n0, h + 1, rho)
         if not rho:
             return
         grow = ((2 * (s + (m + 1) * step) - 1) * (2 * (s + (m + 2) * step) - 1)) ** k
@@ -221,7 +222,7 @@ def level_r(k, n0, h, n):
     table = _level_table(k, n0)
     hit = table.get((h, n))
     if hit is None:
-        hit = table[(h, n)] = sum(w for _, w in level_terms(k, n0, h, n))
+        hit = table[(h, n)] = sum(level_terms(k, n0, h, n))
     return hit
 
 

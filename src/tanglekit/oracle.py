@@ -172,10 +172,8 @@ def brute_chains(k, n, allow_slow=False):
 
 def brute_tanglegrams(n, allow_slow=False):
     """brute_chains(2, n, allow_slow) as Tanglegrams."""
-    flats = _matching_tuples(2, n, allow_slow)
-    return [Tanglegram(T, S, rep)
-            for T, S in itertools.product(enumerate_trees(n), repeat=2)
-            for rep in _classes((T, S), flats)]
+    return [Tanglegram(*chain.trees, *chain.matchings)
+            for chain in brute_chains(2, n, allow_slow)]
 
 
 def unordered_count(reps):

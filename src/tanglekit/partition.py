@@ -43,8 +43,9 @@ def binary_partitions(n, max_part=None):
 def z_of(parts):
     """Centralizer order prod c^{m_c} * m_c! of a cycle type.
 
-    Works for arbitrary partitions, not only binary ones; the conjugator
-    counting in perm.py relies on that.
+    Works for arbitrary partitions, not only binary ones, though the
+    package passes only cycle types of tree automorphisms, which are
+    binary.
     """
     z = 1
     i = 0

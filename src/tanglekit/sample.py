@@ -18,8 +18,6 @@ Identical seeds give identical samples.  The rng argument everywhere is
 an owned random.Random-like object with randrange and shuffle.
 """
 
-import bisect
-import itertools
 from functools import lru_cache
 
 from .counting import level_r, level_terms, tree_count_table
@@ -113,23 +111,12 @@ def random_automorphism(t, rng):
     return fold(t, (1,), join)
 
 
-# Categorical draws: every option table holds cumulative integer
-# weights, drawn with one randrange over their total plus a bisect,
-# which is exact.
-
-def _pick(cum, rng):
-    """Index of an option drawn from the cumulative integer weights cum,
-    option i with probability (cum[i] - cum[i-1]) / cum[-1]; a single
-    option takes no randomness."""
-    if len(cum) == 1:
-        return 0
-    return bisect.bisect_right(cum, rng.randrange(cum[-1]))
-
-
 def _pick_scan(weights, total, rng):
     """Index of an option drawn from the integer weights, an iterable
-    that sums to total: option j with probability weights[j] / total.
-    The weights are read in order, and only up to the option drawn."""
+    that sums to total: option j with probability weights[j] / total,
+    by one randrange(total), which is exact.  The weights are read in
+    order, and only up to the option drawn.  This is the sampler's one
+    weighted draw: the lam walk and random_tree both take it."""
     x = rng.randrange(total)
     for j, w in enumerate(weights):
         x -= w
@@ -249,19 +236,19 @@ def random_tree_and_perm(parts, rng):
 # The draw of lam walks the level recurrence of counting.py top down,
 # the recursive method of Nijenhuis and Wilf.  At the state (h, n') of
 # the (k, n) table, n' units of size 2^h are left to place; the walk
-# takes m parts of size 2^h with the integer weight that level_terms
-# gives the term m, and these weights sum to the state's table value
-# level_r.  The step probabilities multiply to
+# takes m = n' % 2 + 2j parts of size 2^h with the j-th integer weight
+# that level_terms yields, by _pick_scan over the state's table value
+# level_r, which those weights sum to.  At n' = 1 the one option m = 1
+# takes no draw.  The step probabilities multiply to
 # z(lam)^(k-1) * q(lam)^k / t(k, n) for the partition built.
 
 @lru_cache(maxsize=1 << 12)
 def _lam_step(k, n, h, units):
-    """Option table of the lam walk at the state (h, units) of the
-    (k, n) table: (part counts m, cumulative integer weights)."""
-    counts, weights = zip(*level_terms(k, n, h, units))
-    cum = list(itertools.accumulate(weights))
-    assert cum[-1] == level_r(k, n, h, units)
-    return counts, cum
+    """The integer weights of the lam walk at the state (h, units) of
+    the (k, n) table, one per part count m = units % 2, units % 2 + 2, ..."""
+    weights = tuple(level_terms(k, n, h, units))
+    assert sum(weights) == level_r(k, n, h, units)
+    return weights
 
 
 def _draw_lam(n, k, rng):
@@ -270,8 +257,9 @@ def _draw_lam(n, k, rng):
     parts = []
     h, units = 0, n
     while units:
-        counts, cum = _lam_step(k, n, h, units)
-        m = counts[_pick(cum, rng)]
+        m = units % 2
+        if units > 1:
+            m += 2 * _pick_scan(_lam_step(k, n, h, units), level_r(k, n, h, units), rng)
         parts += [1 << h] * m
         units = (units - m) // 2
         h += 1
@@ -352,8 +340,8 @@ def random_tree(n, rng):
         elif m == 1:
             done.append(LEAF)
         else:
-            # b_m = 1 at m = 2, 3: one tree, so no draw, as _pick takes
-            # none for one option
+            # b_m = 1 at m = 2, 3: one tree, so no draw, as the lam walk
+            # takes none for one option
             i = 1 if b[m] == 1 else _pick_scan(_tree_weights(b, m), 2 * b[m], rng) + 1
             if i > m // 2:
                 todo += (_DOUBLE, m // 2)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -138,6 +139,28 @@ def test_sample_deterministic(capsys):
         assert parse(d["left"]).leaves == 6
         assert parse(d["right"]).leaves == 6
         assert sorted(d["matching"]) == list(range(1, 7))
+
+
+# The seed-to-sample map, pinned: each command's stdout by its SHA-256.
+# A change to how any draw consumes the rng shows here, also under -O.
+PINNED_OUTPUT = {
+    "sample tanglegram --n 120 --seed 5 --count 100":
+        "bc08be39f20f2158dfb787d93fbb566b8a956f929516851cbe02da2fd92ccc9a",
+    "sample chain --k 3 --n 40 --seed 2 --count 30":
+        "be2122885aa6c5769f4a5d13b98eaadcd81ce7bf1e7ab643bb2eb68bf2bfe3b5",
+    "sample chain --k 5 --n 9 --seed 4 --count 80":
+        "031a157b465010ce6f402ea7999e63129fd5413390e0df243b704ecb6ee942d5",
+    "sample tree --n 60 --seed 3 --count 40":
+        "d254800b4aeaa1e8bdcf2157250bc1cc28cefbb733373e3817cada4d565ced78",
+    "stats cherries --n 200 --samples 50 --seed 1":
+        "99df242d932be6aad6613a760e843310036d440cabf57e6e5db132c3bee09cf6",
+}
+
+
+def test_pinned_output(capsys):
+    for argv, digest in PINNED_OUTPUT.items():
+        assert run(shlex.split(argv)) == 0, argv
+        assert hashlib.sha256(out_of(capsys).encode()).hexdigest() == digest, argv
 
 
 def test_sample_tree_json(capsys):

@@ -197,7 +197,7 @@ def test_level_table_against_fractions():
             for (h, n), r in ref.items():
                 want = r * factorial(n) * 2 ** (max(h, 1) * n)
                 assert type(table[(h, n)]) is int and table[(h, n)] == want, (k, n0, h, n)
-                weights = [w for _, w in level_terms(k, n0, h, n)]
+                weights = list(level_terms(k, n0, h, n))
                 assert all(type(w) is int for w in weights)
                 assert sum(weights) == level_r(k, n0, h, n), (k, n0, h, n)
 

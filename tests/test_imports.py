@@ -1,8 +1,9 @@
 """Every name a module of the package imports is used in that module,
 every module-level private name is used somewhere in the package, the
-sampler imports no rational arithmetic, only asym.py imports mpmath and
-only the commands that print floats load it, and the counting routes
-stay independent of one another."""
+sampler imports no rational arithmetic and the counting routes use
+none, only asym.py imports mpmath and only the commands that print
+floats load it, and the counting routes stay independent of one
+another."""
 
 import ast
 import os
@@ -144,3 +145,12 @@ def test_counting_routes_are_independent():
     # the direct and mu sums each fold a tail of 2s, in code of their own
     assert not names["tanglegram_count_mu"] & {"_power_sum", "chain_count", "tanglegram_count"}
     assert "tanglegram_count_mu" not in names["_power_sum"]
+
+
+def test_counting_routes_are_integer_only():
+    # counting.py imports Fraction for r_poly alone; every counting
+    # route, the level table and the tree counts stay in integers
+    names = names_in_functions((SRC / "counting.py").read_text())
+    for route in ("_power_sum", "chain_count", "level_terms", "level_r", "chain_count_rec",
+                  "tanglegram_count_mu", "tree_count_table"):
+        assert "Fraction" not in names[route], route

@@ -179,7 +179,7 @@ def test_tree_and_perm_identity_marginal_n4():
 
 def _lam_walk(k, n):
     """Exact distribution of the lam draw: every branch of the level
-    walk, with the probability its cumulative weights give it."""
+    walk, with the probability its integer weights give it."""
     out = {}
 
     def rec(h, units, parts, p):
@@ -187,11 +187,10 @@ def _lam_walk(k, n):
             lam = tuple(sorted(parts, reverse=True))
             out[lam] = out.get(lam, 0) + p
             return
-        counts, cum = _lam_step(k, n, h, units)
-        prev = 0
-        for m, c in zip(counts, cum):
-            rec(h + 1, (units - m) // 2, parts + [1 << h] * m, p * Fraction(c - prev, cum[-1]))
-            prev = c
+        weights = _lam_step(k, n, h, units)
+        for j, w in enumerate(weights):
+            m = units % 2 + 2 * j
+            rec(h + 1, (units - m) // 2, parts + [1 << h] * m, p * Fraction(w, sum(weights)))
 
     rec(0, n, [], Fraction(1))
     return out
@@ -346,11 +345,11 @@ def test_canonical_chain_rep_invariant():
 # ----------------------------------------------------- exact uniformity
 
 class _Replay:
-    """Stands in for the rng, and through it for sample._pick and
-    sample._pick_scan: each draw takes the branch that the path names,
-    or the first possible branch past the path's end.  A uniform draw
-    records only its number of branches, a weighted one its integer
-    weights.  shuffle is Fisher-Yates on randrange."""
+    """Stands in for the rng, and through it for sample._pick_scan:
+    each draw takes the branch that the path names, or the first
+    possible branch past the path's end.  A uniform draw records only
+    its number of branches, a weighted one its integer weights.
+    shuffle is Fisher-Yates on randrange."""
 
     def __init__(self, path):
         self.path = path
@@ -362,9 +361,6 @@ class _Replay:
         if i == len(self.path):
             self.path.append(0 if type(draw) is int else next(j for j, w in enumerate(draw) if w))
         return self.path[i]
-
-    def pick(self, cum):
-        return self._branch([c - prev for prev, c in zip([0] + cum, cum)])
 
     def pick_scan(self, weights, total):
         weights = list(weights)
@@ -385,7 +381,6 @@ def _exact_distribution(draw, monkeypatch):
     once per path through its choice tree, and each output collects its
     path's probability, one Fraction of the products of the branch
     weights taken and of the branch totals."""
-    monkeypatch.setattr(sample, "_pick", lambda cum, rng: rng.pick(cum))
     monkeypatch.setattr(sample, "_pick_scan",
                         lambda weights, total, rng: rng.pick_scan(weights, total))
     out = {}
