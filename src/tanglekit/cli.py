@@ -21,12 +21,14 @@ line; JSON keys are emitted in a fixed order, and a fixed seed gives
 byte-identical output across runs.  The first method listed is the
 default, and sampled chains have three trees unless --k says otherwise.
 Each form takes only the flags shown on its line; any other flag is a
-usage error.  Exit codes: 0 success, 2 usage error or rejected
-argument, 3 cap exceeded.
+usage error.  Exit codes: 0 success, 1 output cut short because the
+reader closed stdout (nothing is printed on stderr), 2 usage error or
+rejected argument, 3 cap exceeded.
 """
 
 import argparse
 import json
+import os
 import random
 import sys
 from functools import lru_cache
@@ -148,18 +150,6 @@ def _cmd_count(args):
     return 0
 
 
-def _format_text(obj):
-    # a Tanglegram is also a TangledChain, so it is tested first
-    if isinstance(obj, sample.Tanglegram):
-        return "%s %s %s" % (obj.left.key, obj.right.key,
-                             ",".join(str(v) for v in obj.matching))
-    if isinstance(obj, sample.TangledChain):
-        trees_part = " ".join(t.key for t in obj.trees)
-        match_part = " ".join(",".join(str(v) for v in m) for m in obj.matchings)
-        return (trees_part + " | " + match_part) if match_part else trees_part
-    return obj.key
-
-
 def _cmd_sample(args):
     rng = random.Random(args.seed)
     for _ in range(args.count):
@@ -169,12 +159,7 @@ def _cmd_sample(args):
             obj = sample.random_tree(args.n, rng)
         else:
             obj = sample.random_chain(args.k, args.n, rng)
-        if args.format == "text":
-            print(_format_text(obj))
-        elif args.what == "tree":
-            print(json.dumps({"n": args.n, "tree": obj.key}))
-        else:
-            print(json.dumps(obj.to_json()))
+        print(obj.to_text() if args.format == "text" else json.dumps(obj.to_json()))
     return 0
 
 
@@ -260,7 +245,14 @@ def run(argv):
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: send the rest to devnull, so the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -114,21 +114,28 @@ def tree_count(n):
     return chain_count(1, n)
 
 
+def tree_terms(b, m):
+    """Yield the integer weights of the ways to join a tree of size m >= 2,
+    read from the tree counts b_1 .. b_(m-1) in b; by B(x) = x + (B(x)^2 +
+    B(x^2))/2 they sum to 2*b_m.  In order: 2*b_i*b_(m-i) for two trees of
+    sizes i < m - i, i = 1 .. ceil(m/2) - 1; then for even m, b_(m/2)^2
+    for two trees of size m/2 and b_(m/2) for one tree of size m/2 doubled."""
+    for i in range(1, (m + 1) // 2):
+        yield 2 * b[i] * b[m - i]
+    if m % 2 == 0:
+        half = b[m // 2]
+        yield half * half
+        yield half
+
+
 @lru_cache(maxsize=4)
 def tree_count_table(n):
-    """(b_0, b_1, ..., b_n), for n >= 1, by the classical recurrence from
-    B(x) = x + (B(x)^2 + B(x^2))/2: 2*b_m = sum_{i=1}^{m-1} b_i b_{m-i}
-    + [m even] b_{m/2}, summed here over i < m/2 with the middle term
-    b_{m/2}*(b_{m/2}+1)/2 added for even m.  A plain loop, so any n
-    stays within the recursion limit.  The last few tables are kept,
-    so a batch of tree samples at one size builds its table once."""
+    """(b_0, ..., b_n), n >= 1, each b_m half the sum of tree_terms(b, m),
+    by a plain loop, so any n stays within the recursion limit.  The last
+    few tables are kept: a batch of samples at one size builds one."""
     b = [0, 1]
     for m in range(2, n + 1):
-        tot = sum(b[i] * b[m - i] for i in range(1, (m + 1) // 2))
-        if m % 2 == 0:
-            half = b[m // 2]
-            tot += half * (half + 1) // 2
-        b.append(tot)
+        b.append(sum(tree_terms(b, m)) // 2)
     return tuple(b)
 
 

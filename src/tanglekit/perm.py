@@ -81,12 +81,10 @@ def sample_conjugator(u, v, rng):
     length and drawing each offset uniformly hits every conjugator with
     equal probability.
     """
-    cu = {}
-    for c in cycles_of(u):
-        cu.setdefault(len(c), []).append(c)
-    cv = {}
-    for c in cycles_of(v):
-        cv.setdefault(len(c), []).append(c)
+    cu, cv = {}, {}  # cycle length -> the cycles of that length, in canonical order
+    for by_len, p in ((cu, u), (cv, v)):
+        for c in cycles_of(p):
+            by_len.setdefault(len(c), []).append(c)
     if sorted(cu) != sorted(cv) or any(len(cu[c]) != len(cv[c]) for c in cu):
         raise ValueError("cycle types differ")
     w = [0] * len(u)

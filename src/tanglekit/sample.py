@@ -20,7 +20,7 @@ an owned random.Random-like object with randrange and shuffle.
 
 from functools import lru_cache
 
-from .counting import level_r, level_terms, tree_count_table
+from .counting import level_r, level_terms, tree_count_table, tree_terms
 from .partition import q_numerator, split_pairs, z_of
 from .perm import interleave, sample_conjugator
 from .tree import LEAF, count_occurrences, fold, node, symmetry_count
@@ -72,6 +72,12 @@ class TangledChain:
         return {"n": self.n, "trees": [t.key for t in self.trees],
                 "matchings": [list(m) for m in self.matchings]}
 
+    def to_text(self):
+        text = " ".join(t.key for t in self.trees)
+        if self.matchings:
+            text += " | " + " ".join(",".join(map(str, m)) for m in self.matchings)
+        return text
+
 
 class Tanglegram(TangledChain):
     """The two-tree chain: leaf i of the left tree is tied to leaf
@@ -92,6 +98,9 @@ class Tanglegram(TangledChain):
     def to_json(self):
         return {"n": self.n, "left": self.left.key, "right": self.right.key,
                 "matching": list(self.matching)}
+
+    def to_text(self):
+        return "%s %s %s" % (self.left.key, self.right.key, ",".join(map(str, self.matching)))
 
 
 def random_automorphism(t, rng):
@@ -292,11 +301,8 @@ def random_tanglegram(n, rng):
 
 
 # A uniform tree of size m >= 2 joins a tree of size i to one of size
-# m - i.  By the tree counts b of counting.tree_count_table, the options
-# are, with weights that sum to 2*b_m:
-#   i = 1 .. ceil(m/2) - 1, two independent trees, weight 2*b_i*b_(m-i);
-#   i = m/2 for even m, two independent trees, weight b_(m/2)^2;
-#   i = m/2 + 1 for even m, one tree of size m/2 doubled, weight b_(m/2).
+# m - i; option i = 1, 2, ... has the i-th weight of counting.tree_terms,
+# out of 2*b_m, the last one for even m doubling one tree of size m/2.
 # Every tree of size m then has probability 1/b_m: with subtrees of
 # sizes i < m - i it is one pair, drawn with probability 2/(2*b_m); with
 # two distinct halves it is either of two ordered pairs, and with two
@@ -304,16 +310,6 @@ def random_tanglegram(n, rng):
 # with probability 1/(2*b_m).  This is the recursive method of
 # Nijenhuis and Wilf; scanning from the small side, as _pick_scan does,
 # costs O(n log n) expected (Flajolet, Zimmermann and Van Cutsem 1994).
-
-def _tree_weights(b, m):
-    """The weights of the options at size m, smallest i first."""
-    for i in range(1, (m + 1) // 2):
-        yield 2 * b[i] * b[m - i]
-    if m % 2 == 0:
-        half = b[m // 2]
-        yield half * half
-        yield half
-
 
 _JOIN = object()
 _DOUBLE = object()
@@ -342,7 +338,7 @@ def random_tree(n, rng):
         else:
             # b_m = 1 at m = 2, 3: one tree, so no draw, as the lam walk
             # takes none for one option
-            i = 1 if b[m] == 1 else _pick_scan(_tree_weights(b, m), 2 * b[m], rng) + 1
+            i = 1 if b[m] == 1 else _pick_scan(tree_terms(b, m), 2 * b[m], rng) + 1
             if i > m // 2:
                 todo += (_DOUBLE, m // 2)
             else:

@@ -45,6 +45,12 @@ class Tree:
     def __repr__(self):
         return self.key
 
+    def to_json(self):
+        return {"n": self.leaves, "tree": self.key}
+
+    def to_text(self):
+        return self.key
+
 
 LEAF = Tree(None, None, 1, ".")
 

@@ -3,8 +3,10 @@ import json
 import os
 import re
 import shlex
+import subprocess
 import sys
 
+import tanglekit
 from tanglekit.cli import print_count, run
 from tanglekit.tree import parse
 
@@ -154,6 +156,14 @@ PINNED_OUTPUT = {
         "d254800b4aeaa1e8bdcf2157250bc1cc28cefbb733373e3817cada4d565ced78",
     "stats cherries --n 200 --samples 50 --seed 1":
         "99df242d932be6aad6613a760e843310036d440cabf57e6e5db132c3bee09cf6",
+    "sample tanglegram --n 40 --seed 6 --count 50 --format text":
+        "19da5f3b2b6415d98435e0740b6500ed382b4684b8be27a9d9ab1018b6d44242",
+    "sample tree --n 60 --seed 3 --count 40 --format text":
+        "f8891bcaa2b4f4f787ae956bdd547c9dbe0b82abf07d56515bba14212b36ca76",
+    "sample chain --k 3 --n 40 --seed 2 --count 30 --format text":
+        "f3eda55e3be2b9b4e8e029a33a1d8c6387ccd6ad27dcddf850a8de7c36895ab1",
+    "sample chain --k 1 --n 30 --seed 8 --count 40 --format text":
+        "829a6307c693d7e9aa0e89cb0ee536cd77db44237fb5682c216002e232a1696a",
 }
 
 
@@ -161,6 +171,23 @@ def test_pinned_output(capsys):
     for argv, digest in PINNED_OUTPUT.items():
         assert run(shlex.split(argv)) == 0, argv
         assert hashlib.sha256(out_of(capsys).encode()).hexdigest() == digest, argv
+
+
+def test_closed_pipe_is_quiet():
+    # a reader that stops after the first line gets no traceback.  The
+    # 2 MB of trees overrun any pipe buffer, so that command must meet the
+    # closed pipe and exit 1; the 10 kB oracle listing may fit whole
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tanglekit.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    for argv, codes in (("oracle tanglegrams --n 5 --list", (0, 1)),
+                        ("sample tree --n 30 --seed 1 --count 20000", (1,))):
+        with subprocess.Popen([sys.executable, "-m", "tanglekit.cli"] + argv.split(), env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert proc.returncode in codes, argv
+        assert err == b"", argv
 
 
 def test_sample_tree_json(capsys):

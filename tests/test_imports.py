@@ -142,6 +142,10 @@ def test_counting_routes_are_independent():
         assert not names[route] & {"level_terms", "level_r", "_level_table"}, route
     for route in ("level_terms", "level_r"):
         assert not names[route] & {"_power_sum", "binary_partitions"}, route
+    # the oracle tree route reads neither the level table nor the partitions
+    for route in ("tree_terms", "tree_count_table"):
+        assert not names[route] & {"level_terms", "level_r", "_level_table", "_power_sum",
+                                   "binary_partitions"}, route
     # the direct and mu sums each fold a tail of 2s, in code of their own
     assert not names["tanglegram_count_mu"] & {"_power_sum", "chain_count", "tanglegram_count"}
     assert "tanglegram_count_mu" not in names["_power_sum"]
@@ -152,5 +156,5 @@ def test_counting_routes_are_integer_only():
     # route, the level table and the tree counts stay in integers
     names = names_in_functions((SRC / "counting.py").read_text())
     for route in ("_power_sum", "chain_count", "level_terms", "level_r", "chain_count_rec",
-                  "tanglegram_count_mu", "tree_count_table"):
+                  "tanglegram_count_mu", "tree_terms", "tree_count_table"):
         assert "Fraction" not in names[route], route
