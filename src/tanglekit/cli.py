@@ -239,7 +239,8 @@ def run(argv):
     except tree.CapError as e:
         print("error: %s" % e, file=sys.stderr)
         return 3
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:
+        # an n too large for a machine-sized integer is a usage error too
         print("usage error: %s" % e, file=sys.stderr)
         return 2
 

@@ -189,13 +189,54 @@ def double_coset_count(T, S):
 # R(0, n0) once, by n0! * 2^n0 * (2n0-1)^k.  Along one state,
 # P * n!/(m! * rho!) is carried as one integer: from m to m + 2 it gains
 # the two factors of P and rho, and loses (m+1)(m+2) by exact division.
+#
+# level_terms writes that sum out, and it still sums the one top state,
+# but the levels h >= 1 are built without its big-by-big products.  Fix
+# such a level, let N = n0 // 2^h be its largest n, and put
+#
+#   f(u) = (2*(n0 - u*2^h) - 1)^k,   S(i) = f(i) * f(i+1) * ... * f(N-1),
+#
+# with S(N) = 1.  The factors of P(h, m) at the state (h, n) are f(u) for
+# u = n - m = 2*rho .. n - 1, so P = S(2*rho) / S(n).  Also
+# n!/(m! * rho!) = C(n, 2*rho) * (2*rho)!/rho! and
+# (2*rho)!/rho! * 2^((h-1)*rho) = (2*rho-1)!! * 2^(h*rho).  Hence
+#
+#   R(h, n) * S(n) = sum_i C(n, i) * c_i,
+#   c_(2*rho) = (2*rho-1)!! * 2^(h*rho) * R(h+1, rho) * S(2*rho),
+#
+# with c_i = 0 for odd i: one binomial transform of c_0 .. c_N gives the
+# whole level.  N rounds of Pascal's rule d_i += d_(i+1) on d = c leave
+# sum_j C(t, j) * c_(i+j) in d_i after round t, so d_0 is then
+# R(h, t) * S(t).  The division by S(t) is exact: the left side is an
+# integer multiple of S(t), because R(h, t) is a sum of the integer
+# weights that level_terms yields.  A level costs about N^2/2 additions
+# and N exact divisions, and it needs only the level below it, so the
+# table is filled from the deepest level up, by plain loops.
 
 
 @lru_cache(maxsize=4)
 def _level_table(k, n0):
-    """The memo of the (k, n0) recurrence, a dict (h, n) -> R(h, n); the
-    last few are kept, so a batch of samples at one size reuses its table."""
-    return {}
+    """The (k, n0) table, a dict (h, n) -> R(h, n) holding every state of
+    the levels h >= 1, each level one binomial transform of the level
+    below; level_r adds the top state on first use.  The last few tables
+    are kept, so a batch of samples at one size reuses its table."""
+    table = {}
+    for h in range(n0.bit_length() - 1, 0, -1):
+        N = n0 >> h
+        S = [1] * (N + 1)  # S[i] = f(i) * ... * f(N - 1)
+        for u in range(N - 1, -1, -1):
+            S[u] = S[u + 1] * (2 * (n0 - (u << h)) - 1) ** k
+        d = [0] * (N + 1)  # c_0 .. c_N, the odd ones 0
+        odd = 1  # (2*rho - 1)!!
+        for rho in range(N // 2 + 1):
+            d[2 * rho] = (odd * S[2 * rho] * (table[(h + 1, rho)] if rho else 1)) << (h * rho)
+            odd *= 2 * rho + 1
+        for n in range(1, N + 1):
+            for i in range(len(d) - 1):
+                d[i] += d[i + 1]
+            d.pop()  # the last entry has no right neighbour left
+            table[(h, n)] = d[0] // S[n]
+    return table
 
 
 def level_terms(k, n0, h, n):
@@ -223,7 +264,9 @@ def level_terms(k, n0, h, n):
 
 def level_r(k, n0, h, n):
     """R(h, n) = r(h, n) * n! * 2^(max(h, 1) * n) of the (k, n0) table,
-    the sum of the weights level_terms yields at (h, n); 1 at n = 0."""
+    the sum of the weights level_terms yields at (h, n); 1 at n = 0.  The
+    top state, the one state _level_table leaves out, is summed here from
+    its weights the first time it is read."""
     if n == 0:
         return 1
     table = _level_table(k, n0)
@@ -240,7 +283,10 @@ def chain_count_rec(k, n):
     The last few counts are kept, which spares a repeat the division."""
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
-    val, rem = divmod(level_r(k, n, 0, n), (factorial(n) << n) * (2 * n - 1) ** k)
+    # the divisor first: for an n past the C long range, factorial fails
+    # at once, where the table would first spend ages on its deep levels
+    den = (factorial(n) << n) * (2 * n - 1) ** k
+    val, rem = divmod(level_r(k, n, 0, n), den)
     assert rem == 0, "recurrence value failed to clear its denominator"
     return val
 

@@ -82,6 +82,18 @@ def test_usage_errors(capsys):
         assert capsys.readouterr().out == ""
 
 
+def test_overflowing_n_is_a_usage_error(capsys):
+    # an n past the machine-integer range fails at once with one line,
+    # not a traceback
+    huge = str(10 ** 22)
+    for argv in (["count", "tanglegrams", "--n", huge],
+                 ["count", "trees", "--n", huge],
+                 ["count", "chains", "--k", "3", "--n", huge, "--method", "direct"]):
+        assert run(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage error: ") and err.count("\n") == 1, argv
+
+
 def test_cap_exit_code(capsys):
     assert run(["oracle", "tanglegrams", "--n", "9"]) == 3
     assert capsys.readouterr().out == ""

@@ -202,6 +202,21 @@ def test_level_table_against_fractions():
                 assert sum(weights) == level_r(k, n0, h, n), (k, n0, h, n)
 
 
+def test_level_transform_against_its_terms():
+    # each level h >= 1 is built by one binomial transform; every entry
+    # must still be the defining sum of its terms, also past n0 = 40
+    # where the Fraction reference grows slow, and at n0 on both sides
+    # of a power of 2, where the number of levels changes
+    for k in (1, 2, 3, 4):
+        for n0 in (64, 127, 128, 200, 255):
+            level_r(k, n0, 0, n0)
+            table = _level_table(k, n0)
+            assert set(table) == {(0, n0)} | {(h, n) for h in range(1, n0.bit_length())
+                                              for n in range(1, (n0 >> h) + 1)}, (k, n0)
+            for (h, n), r in table.items():
+                assert r == sum(level_terms(k, n0, h, n)), (k, n0, h, n)
+
+
 def test_three_routes_agree():
     for n in range(1, 61):
         direct = tanglegram_count(n)

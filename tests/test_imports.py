@@ -140,7 +140,7 @@ def test_counting_routes_are_independent():
     names = names_in_functions((SRC / "counting.py").read_text())
     for route in ("_power_sum", "chain_count", "tanglegram_count_mu"):
         assert not names[route] & {"level_terms", "level_r", "_level_table"}, route
-    for route in ("level_terms", "level_r"):
+    for route in ("_level_table", "level_terms", "level_r"):
         assert not names[route] & {"_power_sum", "binary_partitions"}, route
     # the oracle tree route reads neither the level table nor the partitions
     for route in ("tree_terms", "tree_count_table"):
@@ -155,6 +155,6 @@ def test_counting_routes_are_integer_only():
     # counting.py imports Fraction for r_poly alone; every counting
     # route, the level table and the tree counts stay in integers
     names = names_in_functions((SRC / "counting.py").read_text())
-    for route in ("_power_sum", "chain_count", "level_terms", "level_r", "chain_count_rec",
-                  "tanglegram_count_mu", "tree_terms", "tree_count_table"):
+    for route in ("_power_sum", "chain_count", "_level_table", "level_terms", "level_r",
+                  "chain_count_rec", "tanglegram_count_mu", "tree_terms", "tree_count_table"):
         assert "Fraction" not in names[route], route
