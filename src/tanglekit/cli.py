@@ -227,6 +227,13 @@ _HANDLERS = {
 }
 
 
+def _size_flag(args):
+    """The size flag of args with the largest value, such as --n; every
+    form whose work grows with its input has one."""
+    return "--" + max((getattr(args, name), name) for name in ("n", "k", "precision")
+                      if getattr(args, name, None) is not None)[1]
+
+
 def run(argv):
     """Parse argv (no program name) and execute; returns the exit code."""
     ap = _build_parser()
@@ -239,9 +246,15 @@ def run(argv):
     except tree.CapError as e:
         print("error: %s" % e, file=sys.stderr)
         return 3
-    except (ValueError, OverflowError) as e:
-        # an n too large for a machine-sized integer is a usage error too
+    except ValueError as e:
         print("usage error: %s" % e, file=sys.stderr)
+        return 2
+    except (OverflowError, MemoryError):
+        # a size past the machine-integer range, or one whose tables this
+        # machine cannot allocate, is a usage error too; the text of
+        # either error names a CPython internal, so name the flag
+        print("usage error: %s is too large for this machine" % _size_flag(args),
+              file=sys.stderr)
         return 2
 
 

@@ -12,10 +12,11 @@ routes to the same numbers are provided: the direct sum, a recurrence
 that never touches partitions explicitly, and (for k = 2) a rearranged
 sum with a Catalan prefactor.  Agreement of all three is the strongest
 internal consistency check in the package.  The direct sum lists only
-the parts of size 4 and up; the 2s and 1s that complete them are folded
-in closed form, one tail per number of units left.  The mu sum walks
-its own parts of size 4 and up and folds its 2s the same way, in code
-of its own.
+the parts of size 4 and up, carrying one integer per branch and placing
+its 4s in the walk's own frame; the 2s and 1s that complete them are
+folded in closed form, one tail of small-ratio steps per number of
+units left.  The mu sum walks its own parts of size 4 and up and folds
+its 2s the same way, in code of its own.
 """
 
 from fractions import Fraction
@@ -36,59 +37,71 @@ def _power_sum(n, k):
     """n! * (2n-1)^k * t(k,n) as one exact integer.
 
     Walks the tree of binary partitions, part sizes from the largest
-    power of 2 down to 4, carrying two quantities along each branch:
-    W = n!/z(partial) and the product of (2r-1)^k over the parts placed,
-    where r is the sum of a part and all parts after it.  No part is
-    skipped, so a whole partition lam adds n! * (2n-1)^k * z^(k-1) * q^k:
-    the largest part's factor is always (2n-1)^k, and the caller divides
-    it out once.
+    power of 2 down to 4, carrying one integer along each branch:
+    E = n!/z(partial) times the product of (2r-1)^k over the parts
+    placed, where r is the sum of a part and all parts after it.  No part
+    is skipped, so a whole partition lam adds n! * (2n-1)^k * z^(k-1) *
+    q^k: the largest part's factor is always (2n-1)^k, and the caller
+    divides it out once.  The m-th part p placed with r left does
+    E = E // (p*m) * (2r-1)^k; the division is exact because z(partial)
+    * p * m is the z of a partial partition, which divides n!.
 
-    The walk stops where only 2s and 1s are left to place, and adds
-    W * numer into acc[s], s being the units left.  Every completion of
-    such a leaf is j twos and then s - 2j ones, so after the walk each s
-    gets its tail once, summed over j:
-    acc[s] / (j! * 2^j * (s-2j)!) * ((2(s-2j)-1)!!)^k * G(s, j), where
-    G(s, j) = prod_{l<j} (2(s-2l)-1)^k are the factors of the j twos
-    (suffix sums s, s-2, ...).  Each division is exact: z(partial) *
-    2^j * j! * (s-2j)! is the z of a whole partition and divides n!, so
-    every W, hence acc[s], is a multiple of j! * 2^j * (s-2j)!.  The
-    walk's own divisions are exact for the same reason.
+    Wherever only 2s and 1s are left to place, the walk adds E into
+    acc[s], s being the units left.  The 4s are the last size it lists,
+    and they are placed in the running frame, which adds E once per
+    number of 4s, none included, so the walk stays about log2(n) frames
+    deep.  Every completion of such a branch is j twos and then s - 2j
+    ones, so after the walk each s gets its tail once, summed over j:
+
+        term_j = acc[s] / (j! * 2^j * (s-2j)!) * ((2(s-2j)-1)!!)^k * G(s, j),
+
+    where G(s, j) = prod_{l<j} (2(s-2l)-1)^k are the factors of the j
+    twos (suffix sums s, s-2, ...).  Each term_j is an integer:
+    z(partial) * 2^j * j! * (s-2j)! is the z of a whole partition and
+    divides n!, so every branch's E, hence acc[s], is a multiple of
+    j! * 2^j * (s-2j)!.  term_0 = acc[s] // s! * ((2s-1)!!)^k, with s!
+    and ((2s-1)!!)^k kept as running products over s, and each next term
+    is term_j = term_(j-1) * L(L-1) // (2j * (2L-3)^k), L = s - 2(j-1),
+    the units left before the j-th 2: a floor division whose quotient is
+    the integer term_j, so it is exact.
     """
-    fact = [1] * (n + 1)
-    for i in range(1, n + 1):
-        fact[i] = fact[i - 1] * i
-    tail = [1] * (n + 1)
-    for m in range(1, n + 1):
-        tail[m] = tail[m - 1] * (2 * m - 1) ** k
+    # acc first: an n too large to allocate for fails here at once, not
+    # after factorial(n)
     acc = [0] * (n + 1)
 
-    def rec(r, p, W, numer):
+    def rec(r, p, E):
         while p > r:
             p //= 2
         if p <= 2:
             # only 2s and 1s are left, or nothing (r = 0 leaves p = 0)
-            acc[r] += W * numer
+            acc[r] += E
             return
-        rec(r, p // 2, W, numer)
         m = 0
-        while r >= p:
+        while True:
+            if p == 4:
+                acc[r] += E  # only 2s and 1s may follow a 4
+            else:
+                rec(r, p // 2, E)
+            if r < p:
+                return
             m += 1
-            W //= p * m
-            numer *= (2 * r - 1) ** k
+            E = E // (p * m) * (2 * r - 1) ** k
             r -= p
-            rec(r, p // 2, W, numer)
 
-    rec(n, 1 << (n.bit_length() - 1), fact[n], 1)
+    rec(n, 1 << (n.bit_length() - 1), factorial(n))
     total = 0
+    fs = 1  # s!
+    odd = 1  # ((2s-1)!!)^k
     for s, a in enumerate(acc):
-        if not a:
-            continue
-        twos = 1  # j! * 2^j
-        grow = 1  # G(s, j)
-        for j in range(s // 2 + 1):
-            total += a // (twos * fact[s - 2 * j]) * tail[s - 2 * j] * grow
-            grow *= (2 * (s - 2 * j) - 1) ** k
-            twos *= 2 * (j + 1)
+        if a:
+            term = a // fs * odd
+            total += term
+            for j in range(1, s // 2 + 1):
+                L = s - 2 * (j - 1)
+                term = term * (L * (L - 1)) // (2 * j * (2 * L - 3) ** k)
+                total += term
+        fs *= s + 1
+        odd *= (2 * s + 1) ** k
     return total
 
 

@@ -6,6 +6,8 @@ import shlex
 import subprocess
 import sys
 
+import pytest
+
 import tanglekit
 from tanglekit.cli import print_count, run
 from tanglekit.tree import parse
@@ -83,15 +85,41 @@ def test_usage_errors(capsys):
 
 
 def test_overflowing_n_is_a_usage_error(capsys):
-    # an n past the machine-integer range fails at once with one line,
-    # not a traceback
+    # an n past the machine-integer range fails at once with one line
+    # that names the flag, not a traceback
     huge = str(10 ** 22)
     for argv in (["count", "tanglegrams", "--n", huge],
                  ["count", "trees", "--n", huge],
-                 ["count", "chains", "--k", "3", "--n", huge, "--method", "direct"]):
+                 ["count", "chains", "--k", "3", "--n", huge, "--method", "direct"],
+                 ["sample", "tanglegram", "--n", huge, "--seed", "1", "--count", "1"]):
         assert run(argv) == 2, argv
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("usage error: ") and err.count("\n") == 1, argv
+        assert "--n" in err, argv
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["count", "tanglegrams", "--n", str(10 ** 12), "--method", "direct"], "--n"),
+    (["const", "f-quarter", "--precision", str(10 ** 12)], "--precision"),
+], ids=["n", "precision"])
+def test_unallocatable_size_is_a_usage_error(argv, flag):
+    # 10^12 fits a machine integer, but the direct sum's table of n + 1
+    # entries, or a float of 10^12 bits, does not fit in memory; the
+    # child's address space is capped, so the outcome does not depend on
+    # the host's overcommit
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from tanglekit.cli import run\n"
+        "sys.exit(run(sys.argv[1:]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tanglekit.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", script] + argv, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    assert proc.stderr.startswith("usage error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert flag in proc.stderr
 
 
 def test_cap_exit_code(capsys):

@@ -108,6 +108,24 @@ def test_mu_walk_is_shallow():
     assert int(proc.stdout) == tanglegram_count_rec(400)
 
 
+def test_direct_walk_is_shallow():
+    # the walk recurses once per part size above 4 and places the 4s in
+    # its own frame, so n = 400 fits a recursion limit of 100 in the child
+    script = (
+        "import sys\n"
+        "from tanglekit.counting import chain_count\n"
+        "sys.setrecursionlimit(100)\n"
+        "print(chain_count(2, 400), chain_count(6, 300))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tanglekit.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert [int(v) for v in proc.stdout.split()] == [chain_count_rec(2, 400),
+                                                     chain_count_rec(6, 300)]
+
+
 def test_counting_rejects_bad_args():
     with pytest.raises(ValueError):
         chain_count(0, 3)
@@ -225,8 +243,10 @@ def test_three_routes_agree():
 
 
 def test_chain_recurrence_agrees():
+    # up to n = 64, so the direct walk places parts of 16, 32 and 64 and
+    # runs of 4s below an 8
     for k in (1, 2, 3, 4, 5, 6):
-        for n in range(1, 13):
+        for n in range(1, 65):
             assert chain_count_rec(k, n) == chain_count(k, n)
 
 
