@@ -145,10 +145,12 @@ def tree_terms(b, m):
 def tree_count_table(n):
     """(b_0, ..., b_n), n >= 1, each b_m half the sum of tree_terms(b, m),
     by a plain loop, so any n stays within the recursion limit.  The last
-    few tables are kept: a batch of samples at one size builds one."""
-    b = [0, 1]
+    few tables are kept: a batch of samples at one size builds one.  The
+    table is allocated before the loop, so an n too large for this
+    machine raises OverflowError or MemoryError at once."""
+    b = [0, 1] + [0] * (n - 1)
     for m in range(2, n + 1):
-        b.append(sum(tree_terms(b, m)) // 2)
+        b[m] = sum(tree_terms(b, m)) // 2
     return tuple(b)
 
 

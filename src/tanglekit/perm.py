@@ -89,12 +89,12 @@ def sample_conjugator(u, v, rng):
         raise ValueError("cycle types differ")
     w = [0] * len(u)
     for ln, vcycs in cv.items():
-        targets = list(cu[ln])
+        targets = cu[ln]
         rng.shuffle(targets)
         for vc, uc in zip(vcycs, targets):
             r = rng.randrange(ln)
             for idx, a in enumerate(vc):
                 w[a - 1] = uc[(idx + r) % ln]
-    w = tuple(w)
-    assert compose(w, compose(v, inverse(w))) == u
-    return w
+    # u o w = w o v, that is u = w o v o w^-1
+    assert [u[x - 1] for x in w] == [w[x - 1] for x in v]
+    return tuple(w)

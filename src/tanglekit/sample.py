@@ -158,33 +158,63 @@ PERFBENCH_NAMES = (q_of, split_pairs, interleave)
 # out with probability 1/(z*q).  Read out with a fair coin at every
 # vertex whose two subtrees coincide, the pair (T, w) then has
 # probability z * 1/(z*q) * 1/|A(T)| = 1/(|A(T)|*q(lam)).
+#
+# The 1-cycles come first, and while only 1-cycles are placed every
+# vertex is its own orbit, so the general insertion reduces to Remy's
+# step: one randrange(V) picks v, and the new leaf V and the new vertex
+# V + 1 above v are the ids the orbit loop would give them, so sigma is
+# the identity on that prefix and the choices are the same draws.  Most
+# tanglegrams have lam = (1^n) (the share tends to e^(-1/8) = 0.88);
+# then sigma is the identity, so w, which is sigma read on the leaves
+# in DFS order, is the identity whatever the tree and the coins.
 
 def random_tree_and_perm(parts, rng):
     """A pair (T, w) with w an automorphism of T of cycle type `parts`,
     hit with probability exactly 1/(|A(T)| * q(parts)).
 
     The tree is kept as flat lists over vertex ids 0..V-1: the two
-    children (-1 at a leaf), the parent (-1 at the root) and sigma.  A
-    cycle of length c brings the vertices (e, j), j < e, for
+    children (-1 at a leaf), the parent (-1 at the root) and sigma.  The
+    trailing run of 1s in `parts` is placed first by Remy's step.  A
+    later cycle of length c brings the vertices (e, j), j < e, for
     e = d, 2d, ..., c: (e, j) sits above the cycle's leaves whose index
     is j mod e, so its children are (2e, j) and (2e, j + e), (c, j) is a
-    leaf, and sigma sends (e, j) to (e, j + 1 mod e).  The first cycle
-    has d = 1 and is the whole tree.  Each later one draws a vertex v of
-    the tree so far; the sigma-orbit of v has a size d that divides c,
-    as every part is a power of 2 and none placed is longer than c, and
-    a new vertex p_t takes the place of sigma^t(v) with the children
-    sigma^t(v) and (d, t).  T and w are then read off by loops, so depth
-    is not limited: node gives T bottom up, a coin orders each pair of
-    equal subtrees, and a DFS numbers the leaves.
+    leaf, and sigma sends (e, j) to (e, j + 1 mod e).  When no 1s come
+    first, the first cycle has d = 1 and is the whole tree.  Each later
+    one draws a vertex v of the tree so far; the sigma-orbit of v has a
+    size d that divides c, as every part is a power of 2 and none placed
+    is longer than c, and a new vertex p_t takes the place of
+    sigma^t(v) with the children sigma^t(v) and (d, t).  T and w are
+    then read off by loops, so depth is not limited: node gives T
+    bottom up, a coin orders each pair of equal subtrees, and a DFS
+    numbers the leaves.
     """
     if not parts:
         raise ValueError("empty partition")
-    left, right, parent, sigma = [], [], [], []
+    randrange = rng.randrange
+    ones = 0
+    while ones < len(parts) and parts[-1 - ones] == 1:
+        ones += 1
+    size = 2 * ones - 1 if ones else 0
+    left, right, parent = [-1] * size, [-1] * size, [-1] * size
     root = 0
-    for c in reversed(parts):
+    for leaf in range(1, size, 2):
+        v = randrange(leaf)
+        p = parent[v]
+        if p < 0:
+            root = leaf + 1
+        elif left[p] == v:
+            left[p] = leaf + 1
+        else:
+            right[p] = leaf + 1
+        left[leaf + 1] = v
+        right[leaf + 1] = leaf
+        parent[leaf + 1] = p
+        parent[v] = parent[leaf] = leaf + 1
+    sigma = list(range(size))
+    for c in reversed(parts[:len(parts) - ones]):
         orbit = []
         if sigma:
-            v = rng.randrange(len(sigma))
+            v = randrange(len(sigma))
             orbit.append(v)
             while sigma[orbit[-1]] != v:
                 orbit.append(sigma[orbit[-1]])
@@ -219,16 +249,20 @@ def random_tree_and_perm(parts, rng):
             order += (left[v], right[v])
     tree = [LEAF] * len(sigma)
     for v in reversed(order):
-        a, b = left[v], right[v]
+        a = left[v]
         if a >= 0:
-            t = tree[v] = node(tree[a], tree[b])
+            b = right[v]
+            ta, tb = tree[a], tree[b]
+            t = tree[v] = node(ta, tb)
             # read the children in node's order, or by a coin when equal
-            if t.left == t.right:
-                swap = rng.randrange(2)
+            if ta.key == tb.key:
+                swap = randrange(2)
             else:
-                swap = t.left is not tree[a]
+                swap = t.left is not ta
             if swap:
                 left[v], right[v] = b, a
+    if ones == len(parts):
+        return tree[root], tuple(range(1, ones + 1))
     pos = [0] * len(sigma)
     leaves = []
     stack = [root]

@@ -57,10 +57,13 @@ LEAF = Tree(None, None, 1, ".")
 
 def node(left, right):
     """Internal vertex with children in canonical order (left >= right).
-    The caller may pass the children either way around."""
-    if compare(left, right) < 0:
+    The caller may pass the children either way around.  The leaf
+    counts decide most pairs, as they decide compare, so compare runs
+    only on a tie."""
+    a, b = left.leaves, right.leaves
+    if a < b or (a == b and compare(left, right) < 0):
         left, right = right, left
-    return Tree(left, right, left.leaves + right.leaves, "(" + left.key + right.key + ")")
+    return Tree(left, right, a + b, "(" + left.key + right.key + ")")
 
 
 def parse(s):

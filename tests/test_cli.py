@@ -101,12 +101,19 @@ def test_overflowing_n_is_a_usage_error(capsys):
 @pytest.mark.parametrize("argv, flag", [
     (["count", "tanglegrams", "--n", str(10 ** 12), "--method", "direct"], "--n"),
     (["const", "f-quarter", "--precision", str(10 ** 12)], "--precision"),
-], ids=["n", "precision"])
+    (["sample", "tree", "--n", str(10 ** 12), "--seed", "1", "--count", "1"], "--n"),
+    (["sample", "tree", "--n", str(10 ** 22), "--seed", "1", "--count", "1"], "--n"),
+    (["count", "trees", "--n", str(10 ** 12), "--method", "oracle"], "--n"),
+    (["count", "trees", "--n", str(10 ** 22), "--method", "oracle"], "--n"),
+], ids=["n", "precision", "tree-sample-1e12", "tree-sample-1e22",
+        "tree-oracle-1e12", "tree-oracle-1e22"])
 def test_unallocatable_size_is_a_usage_error(argv, flag):
     # 10^12 fits a machine integer, but the direct sum's table of n + 1
-    # entries, or a float of 10^12 bits, does not fit in memory; the
-    # child's address space is capped, so the outcome does not depend on
-    # the host's overcommit
+    # entries, the tree-count table b_0..b_n, or a float of 10^12 bits
+    # does not fit in memory, and 10^22 does not fit a machine integer;
+    # the child's address space is capped, so the outcome does not
+    # depend on the host's overcommit, and a size that is not refused at
+    # once runs into the timeout instead of stalling the suite
     script = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"

@@ -12,7 +12,7 @@ import pytest
 from tanglekit import sample
 from tanglekit.counting import chain_count, tanglegram_count, tree_count
 from tanglekit.partition import binary_partitions, q_of, z_of
-from tanglekit.perm import compose, cycle_type, identity, inverse
+from tanglekit.perm import compose, cycle_type, cycles_of, identity, inverse, sample_conjugator
 from tanglekit.oracle import AUT_CAP, automorphism_group, canonical_chain_rep, canonical_rep
 from tanglekit.sample import (
     _lam_step,
@@ -548,3 +548,122 @@ def test_same_seed_same_stream():
     b = random.Random(91)
     for _ in range(20):
         assert random_chain(3, 5, a) == random_chain(3, 5, b)
+
+
+# ------------------------------------------------------- reference equality
+
+def _reference_random_tree_and_perm(parts, rng):
+    """random_tree_and_perm before the 1-cycles had a step of their
+    own: every cycle goes through the orbit loop, the coin asks
+    Tree.__eq__, and the leaf-numbering DFS always runs."""
+    if not parts:
+        raise ValueError("empty partition")
+    left, right, parent, sigma = [], [], [], []
+    root = 0
+    for c in reversed(parts):
+        orbit = []
+        if sigma:
+            v = rng.randrange(len(sigma))
+            orbit.append(v)
+            while sigma[orbit[-1]] != v:
+                orbit.append(sigma[orbit[-1]])
+        d = len(orbit) or 1
+        base = len(sigma) - d  # (e, j) gets the id base + e + j
+        e = d
+        while e <= c:
+            for j in range(e):
+                sigma.append(base + e + (j + 1) % e)
+                left.append(base + 2 * e + j if e < c else -1)
+                right.append(base + 3 * e + j if e < c else -1)
+                parent.append(base + e // 2 + j % (e // 2) if e > d else -1)
+            e *= 2
+        top = len(sigma)
+        for t, u in enumerate(orbit):
+            p = parent[u]
+            if p < 0:
+                root = top + t
+            elif left[p] == u:
+                left[p] = top + t
+            else:
+                right[p] = top + t
+            sigma.append(top + (t + 1) % d)
+            left.append(u)
+            right.append(base + d + t)
+            parent.append(p)
+            parent[u] = parent[base + d + t] = top + t
+    # ancestors come before descendants in this breadth-first order
+    order = [root]
+    for v in order:
+        if left[v] >= 0:
+            order += (left[v], right[v])
+    tree = [LEAF] * len(sigma)
+    for v in reversed(order):
+        a, b = left[v], right[v]
+        if a >= 0:
+            t = tree[v] = node(tree[a], tree[b])
+            # read the children in node's order, or by a coin when equal
+            if t.left == t.right:
+                swap = rng.randrange(2)
+            else:
+                swap = t.left is not tree[a]
+            if swap:
+                left[v], right[v] = b, a
+    pos = [0] * len(sigma)
+    leaves = []
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        if left[v] < 0:
+            leaves.append(v)
+            pos[v] = len(leaves)
+        else:
+            stack += (right[v], left[v])
+    return tree[root], tuple(pos[sigma[v]] for v in leaves)
+
+
+def _reference_sample_conjugator(u, v, rng):
+    """sample_conjugator before it shuffled its cycle lists in place and
+    checked u o w = w o v without building three tuples."""
+    cu, cv = {}, {}  # cycle length -> the cycles of that length, in canonical order
+    for by_len, p in ((cu, u), (cv, v)):
+        for c in cycles_of(p):
+            by_len.setdefault(len(c), []).append(c)
+    if sorted(cu) != sorted(cv) or any(len(cu[c]) != len(cv[c]) for c in cu):
+        raise ValueError("cycle types differ")
+    w = [0] * len(u)
+    for ln, vcycs in cv.items():
+        targets = list(cu[ln])
+        rng.shuffle(targets)
+        for vc, uc in zip(vcycs, targets):
+            r = rng.randrange(ln)
+            for idx, a in enumerate(vc):
+                w[a - 1] = uc[(idx + r) % ln]
+    w = tuple(w)
+    assert compose(w, compose(v, inverse(w))) == u
+    return w
+
+
+def _assert_same_as_reference(lam, seed):
+    # two trees and the conjugator between their automorphisms, from
+    # two identically seeded generators, leave them in the same state
+    new, ref = random.Random(seed), random.Random(seed)
+    pairs = [random_tree_and_perm(lam, new) for _ in range(2)]
+    assert pairs == [_reference_random_tree_and_perm(lam, ref) for _ in range(2)], lam
+    (_, u), (_, v) = pairs
+    assert sample_conjugator(u, v, new) == _reference_sample_conjugator(u, v, ref), lam
+    assert new.getstate() == ref.getstate(), lam
+
+
+def test_tree_perm_and_conjugator_match_reference():
+    # the pinned outputs almost never reach parts >= 4, so the partitions
+    # with long cycles are asked for here
+    for n in range(1, 13):
+        for lam in binary_partitions(n):
+            for seed in range(3):
+                _assert_same_as_reference(lam, seed)
+    for seed, lam in enumerate([(64,), (32, 32), (16, 8, 4, 2, 1, 1), (1,) * 120]):
+        _assert_same_as_reference(lam, 100 + seed)
+    rng = random.Random(125)
+    for n in (64, 120, 257):
+        for i in range(200):
+            _assert_same_as_reference(sample._draw_lam(n, 1 + i % 2, rng), rng.randrange(1 << 30))
