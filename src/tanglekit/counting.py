@@ -190,8 +190,8 @@ def double_coset_count(T, S):
 #
 # and t(k, n) = r(0, n, 0) / (2n-1)^k.  Every state reached from
 # r(0, n0, 0) has s = n0 - n*2^h, so one table per (k, n0) keyed by
-# (h, n) holds them all.  The sampler in sample.py walks the same table
-# top down to draw a cycle type.
+# (h, n) holds them all but the top state (0, n0).  The sampler in
+# sample.py walks the same table top down to draw a cycle type.
 #
 # The table holds integers only.  Every state stores
 # R(h, n) = r(h, n) * n! * 2^(max(h, 1) * n), and with rho = (n-m)/2 the
@@ -205,8 +205,9 @@ def double_coset_count(T, S):
 # P * n!/(m! * rho!) is carried as one integer: from m to m + 2 it gains
 # the two factors of P and rho, and loses (m+1)(m+2) by exact division.
 #
-# level_terms writes that sum out, and it still sums the one top state,
-# but the levels h >= 1 are built without its big-by-big products.  Fix
+# level_terms writes that sum out; chain_count_rec and the lam walk sum
+# it at the one top state, and the table holds only the levels h >= 1,
+# which are built without its big-by-big products.  Fix
 # such a level, let N = n0 // 2^h be its largest n, and put
 #
 #   f(u) = (2*(n0 - u*2^h) - 1)^k,   S(i) = f(i) * f(i+1) * ... * f(N-1),
@@ -233,8 +234,9 @@ def double_coset_count(T, S):
 def _level_table(k, n0):
     """The (k, n0) table, a dict (h, n) -> R(h, n) holding every state of
     the levels h >= 1, each level one binomial transform of the level
-    below; level_r adds the top state on first use.  The last few tables
-    are kept, so a batch of samples at one size reuses its table."""
+    below.  The top state is the sum of level_terms(k, n0, 0, n0); no
+    entry is added after the table is returned.  The last few tables are
+    kept, so a batch of samples at one size reuses its table."""
     table = {}
     for h in range(n0.bit_length() - 1, 0, -1):
         N = n0 >> h
@@ -257,38 +259,25 @@ def _level_table(k, n0):
 def level_terms(k, n0, h, n):
     """Yield the integer weight of each admissible number m of parts of
     size 2^h at the state (h, n) of the (k, n0) recurrence, in the order
-    m = n % 2, n % 2 + 2, ..., n.  The weights sum to the table entry
-    level_r(k, n0, h, n)."""
+    m = n % 2, n % 2 + 2, ..., n.  The weights sum to R(h, n), the entry
+    _level_table(k, n0)[(h, n)] at h >= 1."""
     step = 1 << h
     s = n0 - n * step
     m = n % 2
     rho = (n - m) // 2
     carry = perm(n, n - rho)  # P * n!/(m! * rho!) with m <= 1
+    table = _level_table(k, n0)  # after perm, which fails at once past the C long range
     if m:
         carry *= (2 * (s + step) - 1) ** k
     while True:
         shift = (h - 1) * rho if h else m + rho
-        yield (carry << shift) * level_r(k, n0, h + 1, rho)
+        yield (carry << shift) * (table[(h + 1, rho)] if rho else 1)
         if not rho:
             return
         grow = ((2 * (s + (m + 1) * step) - 1) * (2 * (s + (m + 2) * step) - 1)) ** k
         carry = carry * (grow * rho) // ((m + 1) * (m + 2))
         m += 2
         rho -= 1
-
-
-def level_r(k, n0, h, n):
-    """R(h, n) = r(h, n) * n! * 2^(max(h, 1) * n) of the (k, n0) table,
-    the sum of the weights level_terms yields at (h, n); 1 at n = 0.  The
-    top state, the one state _level_table leaves out, is summed here from
-    its weights the first time it is read."""
-    if n == 0:
-        return 1
-    table = _level_table(k, n0)
-    hit = table.get((h, n))
-    if hit is None:
-        hit = table[(h, n)] = sum(level_terms(k, n0, h, n))
-    return hit
 
 
 @lru_cache(maxsize=4)
@@ -301,7 +290,7 @@ def chain_count_rec(k, n):
     # the divisor first: for an n past the C long range, factorial fails
     # at once, where the table would first spend ages on its deep levels
     den = (factorial(n) << n) * (2 * n - 1) ** k
-    val, rem = divmod(level_r(k, n, 0, n), den)
+    val, rem = divmod(sum(level_terms(k, n, 0, n)), den)
     assert rem == 0, "recurrence value failed to clear its denominator"
     return val
 

@@ -20,7 +20,7 @@ an owned random.Random-like object with randrange and shuffle.
 
 from functools import lru_cache
 
-from .counting import level_r, level_terms, tree_count_table, tree_terms
+from .counting import _level_table, level_terms, tree_count_table, tree_terms
 from .partition import q_numerator, split_pairs, z_of
 from .perm import interleave, sample_conjugator
 from .tree import LEAF, count_occurrences, fold, node, symmetry_count
@@ -188,12 +188,13 @@ def random_tree_and_perm(parts, rng):
     bottom up, a coin orders each pair of equal subtrees, and a DFS
     numbers the leaves.
     """
-    if not parts:
-        raise ValueError("empty partition")
     randrange = rng.randrange
     ones = 0
     while ones < len(parts) and parts[-1 - ones] == 1:
         ones += 1
+    head = parts[:len(parts) - ones]
+    if not parts or any(c < 1 or c & (c - 1) or c < d for c, d in zip(head, head[1:] + head[-1:])):
+        raise ValueError("parts must be weakly decreasing powers of 2, got %r" % (parts,))
     size = 2 * ones - 1 if ones else 0
     left, right, parent = [-1] * size, [-1] * size, [-1] * size
     root = 0
@@ -211,7 +212,7 @@ def random_tree_and_perm(parts, rng):
         parent[leaf + 1] = p
         parent[v] = parent[leaf] = leaf + 1
     sigma = list(range(size))
-    for c in reversed(parts[:len(parts) - ones]):
+    for c in reversed(head):
         orbit = []
         if sigma:
             v = randrange(len(sigma))
@@ -280,18 +281,28 @@ def random_tree_and_perm(parts, rng):
 # the recursive method of Nijenhuis and Wilf.  At the state (h, n') of
 # the (k, n) table, n' units of size 2^h are left to place; the walk
 # takes m = n' % 2 + 2j parts of size 2^h with the j-th integer weight
-# that level_terms yields, by _pick_scan over the state's table value
-# level_r, which those weights sum to.  At n' = 1 the one option m = 1
+# that level_terms yields, by _pick_scan over their total, which at
+# h >= 1 is the table entry R(h, n').  At n' = 1 the one option m = 1
 # takes no draw.  The step probabilities multiply to
-# z(lam)^(k-1) * q(lam)^k / t(k, n) for the partition built.
+# z(lam)^(k-1) * q(lam)^k / t(k, n) for the partition built.  The steps
+# of the (k, n) walk are kept in the dict _lam_steps(k, n), keyed by
+# (h, n'), for as many (k, n) as _level_table keeps tables.
 
-@lru_cache(maxsize=1 << 12)
+@lru_cache(maxsize=4)
+def _lam_steps(k, n):
+    return {}
+
+
 def _lam_step(k, n, h, units):
-    """The integer weights of the lam walk at the state (h, units) of
-    the (k, n) table, one per part count m = units % 2, units % 2 + 2, ..."""
-    weights = tuple(level_terms(k, n, h, units))
-    assert sum(weights) == level_r(k, n, h, units)
-    return weights
+    """The integer weights of the lam walk at the state (h, units) of the
+    (k, n) table, one per m = units % 2, units % 2 + 2, ..., and their total."""
+    steps = _lam_steps(k, n)
+    step = steps.get((h, units))
+    if step is None:
+        weights = tuple(level_terms(k, n, h, units))
+        step = steps[(h, units)] = weights, sum(weights)
+        assert not h or step[1] == _level_table(k, n)[(h, units)]
+    return step
 
 
 def _draw_lam(n, k, rng):
@@ -302,12 +313,11 @@ def _draw_lam(n, k, rng):
     while units:
         m = units % 2
         if units > 1:
-            m += 2 * _pick_scan(_lam_step(k, n, h, units), level_r(k, n, h, units), rng)
+            m += 2 * _pick_scan(*_lam_step(k, n, h, units), rng)
         parts += [1 << h] * m
         units = (units - m) // 2
         h += 1
-    parts.reverse()
-    return tuple(parts)
+    return tuple(reversed(parts))
 
 
 def _draw_chain(k, n, rng):

@@ -90,8 +90,7 @@ def test_overflowing_n_is_a_usage_error(capsys):
     huge = str(10 ** 22)
     for argv in (["count", "tanglegrams", "--n", huge],
                  ["count", "trees", "--n", huge],
-                 ["count", "chains", "--k", "3", "--n", huge, "--method", "direct"],
-                 ["sample", "tanglegram", "--n", huge, "--seed", "1", "--count", "1"]):
+                 ["count", "chains", "--k", "3", "--n", huge, "--method", "direct"]):
         assert run(argv) == 2, argv
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("usage error: ") and err.count("\n") == 1, argv
@@ -105,8 +104,12 @@ def test_overflowing_n_is_a_usage_error(capsys):
     (["sample", "tree", "--n", str(10 ** 22), "--seed", "1", "--count", "1"], "--n"),
     (["count", "trees", "--n", str(10 ** 12), "--method", "oracle"], "--n"),
     (["count", "trees", "--n", str(10 ** 22), "--method", "oracle"], "--n"),
+    (["sample", "tanglegram", "--n", str(10 ** 22), "--seed", "1", "--count", "1"], "--n"),
+    (["sample", "chain", "--k", "1", "--n", str(10 ** 22), "--seed", "1", "--count", "1"], "--n"),
+    (["stats", "cherries", "--n", str(10 ** 22), "--samples", "1", "--seed", "1"], "--n"),
 ], ids=["n", "precision", "tree-sample-1e12", "tree-sample-1e22",
-        "tree-oracle-1e12", "tree-oracle-1e22"])
+        "tree-oracle-1e12", "tree-oracle-1e22", "tanglegram-sample-1e22",
+        "chain-sample-1e22", "cherries-1e22"])
 def test_unallocatable_size_is_a_usage_error(argv, flag):
     # 10^12 fits a machine integer, but the direct sum's table of n + 1
     # entries, the tree-count table b_0..b_n, or a float of 10^12 bits

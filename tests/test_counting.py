@@ -14,7 +14,6 @@ from tanglekit.counting import (
     chain_count,
     chain_count_rec,
     double_coset_count,
-    level_r,
     level_terms,
     r_poly,
     tanglegram_count,
@@ -162,18 +161,19 @@ def test_tree_oracle_is_a_loop():
 
 
 def test_recurrence_internals():
-    # level_r(k, n0, h, n) is r(h, n, n0 - n*2^h) * n! * 2^(max(h, 1)*n)
-    # for chain length k: 1 * 0! * 2^0 in the base case, and
-    # r(0, n0) * n0! * 2^n0 at the top state
+    # the terms of the state (h, n) of the (k, n0) table sum to
+    # R(h, n) = r(h, n, n0 - n*2^h) * n! * 2^(max(h, 1)*n) for chain
+    # length k: 1 * 0! * 2^0 in the base case, and r(0, n0) * n0! * 2^n0
+    # at the top state
     for h in range(5):
         for n0 in (0, 3, 12):
-            assert level_r(2, n0, h, 0) == 1
-    assert level_r(2, 4, 0, 4) == 637 * factorial(4) * 2 ** 4 == 244608
-    assert level_r(3, 3, 0, 3) == 625 * factorial(3) * 2 ** 3
-    # one table per (k, n0), keyed by (h, n); the count reads it
+            assert list(level_terms(2, n0, h, 0)) == [1]
+    assert sum(level_terms(2, 4, 0, 4)) == 637 * factorial(4) * 2 ** 4 == 244608
+    assert sum(level_terms(3, 3, 0, 3)) == 625 * factorial(3) * 2 ** 3
+    # one table per (k, n0), keyed by (h, n), holding the levels h >= 1;
+    # the count sums the top state from it
     table = _level_table(2, 4)
-    assert table[(0, 4)] == 244608
-    assert all(n * 2 ** h <= 4 for h, n in table)
+    assert set(table) == {(1, 1), (1, 2), (2, 1)}
     assert chain_count_rec(2, 4) == 637 // 7 ** 2 == 13
 
 
@@ -204,20 +204,21 @@ def reference_level_r(k, n0):
 
 
 def test_level_table_against_fractions():
-    # every state holds r * n! * 2^(max(h, 1)*n), the sum of its terms,
-    # and every term of every state is an int
+    # every state of the levels h >= 1 holds r * n! * 2^(max(h, 1)*n),
+    # the sum of its terms, the top state's terms sum to the same, and
+    # every term of every state is an int
     for k in (1, 2, 3):
         for n0 in range(1, 40):
-            level_r(k, n0, 0, n0)
             table = _level_table(k, n0)
             ref = reference_level_r(k, n0)
-            assert set(table) == set(ref), (k, n0)
+            assert set(table) == set(ref) - {(0, n0)}, (k, n0)
             for (h, n), r in ref.items():
                 want = r * factorial(n) * 2 ** (max(h, 1) * n)
-                assert type(table[(h, n)]) is int and table[(h, n)] == want, (k, n0, h, n)
                 weights = list(level_terms(k, n0, h, n))
                 assert all(type(w) is int for w in weights)
-                assert sum(weights) == level_r(k, n0, h, n), (k, n0, h, n)
+                assert sum(weights) == want, (k, n0, h, n)
+                if h:
+                    assert type(table[(h, n)]) is int and table[(h, n)] == want, (k, n0, h, n)
 
 
 def test_level_transform_against_its_terms():
@@ -227,12 +228,14 @@ def test_level_transform_against_its_terms():
     # of a power of 2, where the number of levels changes
     for k in (1, 2, 3, 4):
         for n0 in (64, 127, 128, 200, 255):
-            level_r(k, n0, 0, n0)
             table = _level_table(k, n0)
-            assert set(table) == {(0, n0)} | {(h, n) for h in range(1, n0.bit_length())
-                                              for n in range(1, (n0 >> h) + 1)}, (k, n0)
+            assert set(table) == {(h, n) for h in range(1, n0.bit_length())
+                                  for n in range(1, (n0 >> h) + 1)}, (k, n0)
             for (h, n), r in table.items():
                 assert r == sum(level_terms(k, n0, h, n)), (k, n0, h, n)
+            # the top state's terms against the direct sum, which reads no table
+            top = (chain_count(k, n0) * factorial(n0) << n0) * (2 * n0 - 1) ** k
+            assert sum(level_terms(k, n0, 0, n0)) == top, (k, n0)
 
 
 def test_three_routes_agree():

@@ -139,13 +139,13 @@ def test_counting_routes_are_independent():
     # recurrence never lists partitions, so their agreement is a check
     names = names_in_functions((SRC / "counting.py").read_text())
     for route in ("_power_sum", "chain_count", "tanglegram_count_mu"):
-        assert not names[route] & {"level_terms", "level_r", "_level_table"}, route
-    for route in ("_level_table", "level_terms", "level_r"):
-        assert not names[route] & {"_power_sum", "binary_partitions"}, route
+        assert not names[route] & {"level_terms", "_level_table", "chain_count_rec"}, route
+    for route in ("_level_table", "level_terms", "chain_count_rec"):
+        assert not names[route] & {"_power_sum", "chain_count", "binary_partitions"}, route
     # the oracle tree route reads neither the level table nor the partitions
     for route in ("tree_terms", "tree_count_table"):
-        assert not names[route] & {"level_terms", "level_r", "_level_table", "_power_sum",
-                                   "binary_partitions"}, route
+        assert not names[route] & {"level_terms", "_level_table", "chain_count_rec",
+                                   "_power_sum", "binary_partitions"}, route
     # the direct and mu sums each fold a tail of 2s, in code of their own
     assert not names["tanglegram_count_mu"] & {"_power_sum", "chain_count", "tanglegram_count"}
     assert "tanglegram_count_mu" not in names["_power_sum"]
@@ -155,6 +155,6 @@ def test_counting_routes_are_integer_only():
     # counting.py imports Fraction for r_poly alone; every counting
     # route, the level table and the tree counts stay in integers
     names = names_in_functions((SRC / "counting.py").read_text())
-    for route in ("_power_sum", "chain_count", "_level_table", "level_terms", "level_r",
-                  "chain_count_rec", "tanglegram_count_mu", "tree_terms", "tree_count_table"):
+    for route in ("_power_sum", "chain_count", "_level_table", "level_terms", "chain_count_rec",
+                  "tanglegram_count_mu", "tree_terms", "tree_count_table"):
         assert "Fraction" not in names[route], route

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from tanglekit import sample
-from tanglekit.counting import chain_count, tanglegram_count, tree_count
+from tanglekit.counting import _level_table, chain_count, chain_count_rec, tanglegram_count, tree_count
 from tanglekit.partition import binary_partitions, q_of, z_of
 from tanglekit.perm import compose, cycle_type, cycles_of, identity, inverse, sample_conjugator
 from tanglekit.oracle import AUT_CAP, automorphism_group, canonical_chain_rep, canonical_rep
@@ -84,9 +84,11 @@ def test_tree_and_perm_trivial_cases():
 
 
 def test_tree_and_perm_empty_partition_rejected():
+    # empty, not a power of 2, not positive, or not weakly decreasing
     rng = random.Random(22)
-    with pytest.raises(ValueError):
-        random_tree_and_perm((), rng)
+    for parts in ((), (3,), (0,), (-1,), (6, 2), (1, 2)):
+        with pytest.raises(ValueError, match="parts"):
+            random_tree_and_perm(parts, rng)
 
 
 def _in_child_at_depth_limit(body):
@@ -187,10 +189,11 @@ def _lam_walk(k, n):
             lam = tuple(sorted(parts, reverse=True))
             out[lam] = out.get(lam, 0) + p
             return
-        weights = _lam_step(k, n, h, units)
+        weights, total = _lam_step(k, n, h, units)
+        assert total == sum(weights)
         for j, w in enumerate(weights):
             m = units % 2 + 2 * j
-            rec(h + 1, (units - m) // 2, parts + [1 << h] * m, p * Fraction(w, sum(weights)))
+            rec(h + 1, (units - m) // 2, parts + [1 << h] * m, p * Fraction(w, total))
 
     rec(0, n, [], Fraction(1))
     return out
@@ -204,6 +207,29 @@ def test_lam_draw_exact():
             want = {lam: z_of(lam) ** (k - 1) * q_of(lam) ** k / t
                     for lam in binary_partitions(n)}
             assert _lam_walk(k, n) == want, (k, n)
+
+
+def test_lam_steps_live_as_long_as_their_table():
+    # a sweep over sizes keeps the walk's steps for as many (k, n) as the
+    # level table keeps tables, not one set per size drawn
+    rng = random.Random(40)
+    for n in range(2, 41):
+        random_tanglegram(n, rng)
+    assert sample._lam_steps.cache_info().maxsize == _level_table.cache_info().maxsize
+    assert sample._lam_steps.cache_info().currsize <= 4
+
+
+def test_level_table_holds_the_levels_below_the_top():
+    # neither the count nor the lam walk adds the top state to the table
+    _level_table.cache_clear()
+    chain_count_rec.cache_clear()
+    rng = random.Random(41)
+    for n in (2, 37, 64):
+        levels = {(h, m) for h in range(1, n.bit_length()) for m in range(1, (n >> h) + 1)}
+        chain_count_rec(2, n)
+        assert set(_level_table(2, n)) == levels, n
+        random_tanglegram(n, rng)
+        assert set(_level_table(2, n)) == levels, n
 
 
 # ---------------------------------------------------------------- alg 3
