@@ -190,7 +190,7 @@ def double_coset_count(T, S):
 #
 # and t(k, n) = r(0, n, 0) / (2n-1)^k.  Every state reached from
 # r(0, n0, 0) has s = n0 - n*2^h, so one table per (k, n0) keyed by
-# (h, n) holds them all but the top state (0, n0).  The sampler in
+# (h, n) holds them all, the top state (0, n0) included.  The sampler in
 # sample.py walks the same table top down to draw a cycle type.
 #
 # The table holds integers only.  Every state stores
@@ -202,12 +202,13 @@ def double_coset_count(T, S):
 # for h >= 1, with 2^(m+rho) in place of 2^((h-1)*rho) at the top state.
 # So every entry is the sum of its terms, and chain_count_rec divides
 # R(0, n0) once, by n0! * 2^n0 * (2n0-1)^k.  Along one state,
-# P * n!/(m! * rho!) is carried as one integer: from m to m + 2 it gains
-# the two factors of P and rho, and loses (m+1)(m+2) by exact division.
+# P * n!/(m! * rho!) is carried as one integer, from m = n down: from m
+# to m - 2 it gains m(m-1) and loses, by exact division, the new rho and
+# the two factors of P that drop out.
 #
-# level_terms writes that sum out; chain_count_rec and the lam walk sum
-# it at the one top state, and the table holds only the levels h >= 1,
-# which are built without its big-by-big products.  Fix
+# level_terms writes that sum out, largest m first; the table sums it
+# at the one top state, and builds the levels h >= 1 without its
+# big-by-big products.  Fix
 # such a level, let N = n0 // 2^h be its largest n, and put
 #
 #   f(u) = (2*(n0 - u*2^h) - 1)^k,   S(i) = f(i) * f(i+1) * ... * f(N-1),
@@ -232,52 +233,53 @@ def double_coset_count(T, S):
 
 @lru_cache(maxsize=4)
 def _level_table(k, n0):
-    """The (k, n0) table, a dict (h, n) -> R(h, n) holding every state of
-    the levels h >= 1, each level one binomial transform of the level
-    below.  The top state is the sum of level_terms(k, n0, 0, n0); no
-    entry is added after the table is returned.  The last few tables are
-    kept, so a batch of samples at one size reuses its table."""
+    """The (k, n0) table, a dict (h, n) -> R(h, n) holding every state:
+    each level h >= 1 one binomial transform of the level below, then the
+    top state (0, n0), the sum of level_terms(k, n0, 0, n0, table).  No
+    entry changes after the table is returned.  The last few tables are
+    kept, so a batch of samples at one size reuses its table.  The one
+    transform list, of the largest level's length, is allocated before
+    the loop, so an n0 too large for this machine raises OverflowError
+    or MemoryError at once."""
     table = {}
+    d = [0] * (n0 // 2 + 1)  # c_0 .. c_N of a level, the odd ones and the spent ones 0
     for h in range(n0.bit_length() - 1, 0, -1):
         N = n0 >> h
         S = [1] * (N + 1)  # S[i] = f(i) * ... * f(N - 1)
         for u in range(N - 1, -1, -1):
             S[u] = S[u + 1] * (2 * (n0 - (u << h)) - 1) ** k
-        d = [0] * (N + 1)  # c_0 .. c_N, the odd ones 0
         odd = 1  # (2*rho - 1)!!
         for rho in range(N // 2 + 1):
             d[2 * rho] = (odd * S[2 * rho] * (table[(h + 1, rho)] if rho else 1)) << (h * rho)
             odd *= 2 * rho + 1
         for n in range(1, N + 1):
-            for i in range(len(d) - 1):
+            for i in range(N - n + 1):
                 d[i] += d[i + 1]
-            d.pop()  # the last entry has no right neighbour left
+            d[N - n + 1] = 0  # spent, with no right neighbour left; the next level reads it as 0
             table[(h, n)] = d[0] // S[n]
+    table[(0, n0)] = sum(level_terms(k, n0, 0, n0, table))
     return table
 
 
-def level_terms(k, n0, h, n):
+def level_terms(k, n0, h, n, table):
     """Yield the integer weight of each admissible number m of parts of
-    size 2^h at the state (h, n) of the (k, n0) recurrence, in the order
-    m = n % 2, n % 2 + 2, ..., n.  The weights sum to R(h, n), the entry
-    _level_table(k, n0)[(h, n)] at h >= 1."""
+    size 2^h at the state (h, n) of the (k, n0) recurrence, largest m
+    first: m = n, n - 2, ..., n % 2.  The weights of the next level down
+    are read from table, which must hold them; they sum to R(h, n), the
+    entry _level_table(k, n0)[(h, n)]."""
     step = 1 << h
     s = n0 - n * step
-    m = n % 2
-    rho = (n - m) // 2
-    carry = perm(n, n - rho)  # P * n!/(m! * rho!) with m <= 1
-    table = _level_table(k, n0)  # after perm, which fails at once past the C long range
-    if m:
-        carry *= (2 * (s + step) - 1) ** k
+    carry = prod(range(2 * (s + step) - 1, 2 * (s + n * step), 2 * step)) ** k  # P(h, n)
+    m, rho = n, 0
     while True:
         shift = (h - 1) * rho if h else m + rho
         yield (carry << shift) * (table[(h + 1, rho)] if rho else 1)
-        if not rho:
+        if m < 2:
             return
-        grow = ((2 * (s + (m + 1) * step) - 1) * (2 * (s + (m + 2) * step) - 1)) ** k
-        carry = carry * (grow * rho) // ((m + 1) * (m + 2))
-        m += 2
-        rho -= 1
+        rho += 1
+        shrink = ((2 * (s + (m - 1) * step) - 1) * (2 * (s + m * step) - 1)) ** k
+        carry = carry * (m * (m - 1)) // (shrink * rho)
+        m -= 2
 
 
 @lru_cache(maxsize=4)
@@ -287,10 +289,8 @@ def chain_count_rec(k, n):
     The last few counts are kept, which spares a repeat the division."""
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
-    # the divisor first: for an n past the C long range, factorial fails
-    # at once, where the table would first spend ages on its deep levels
-    den = (factorial(n) << n) * (2 * n - 1) ** k
-    val, rem = divmod(sum(level_terms(k, n, 0, n)), den)
+    top = _level_table(k, n)[(0, n)]
+    val, rem = divmod(top, (factorial(n) << n) * (2 * n - 1) ** k)
     assert rem == 0, "recurrence value failed to clear its denominator"
     return val
 

@@ -18,8 +18,6 @@ Identical seeds give identical samples.  The rng argument everywhere is
 an owned random.Random-like object with randrange and shuffle.
 """
 
-from functools import lru_cache
-
 from .counting import _level_table, level_terms, tree_count_table, tree_terms
 from .partition import q_numerator, split_pairs, z_of
 from .perm import interleave, sample_conjugator
@@ -280,40 +278,25 @@ def random_tree_and_perm(parts, rng):
 # The draw of lam walks the level recurrence of counting.py top down,
 # the recursive method of Nijenhuis and Wilf.  At the state (h, n') of
 # the (k, n) table, n' units of size 2^h are left to place; the walk
-# takes m = n' % 2 + 2j parts of size 2^h with the j-th integer weight
-# that level_terms yields, by _pick_scan over their total, which at
-# h >= 1 is the table entry R(h, n').  At n' = 1 the one option m = 1
-# takes no draw.  The step probabilities multiply to
-# z(lam)^(k-1) * q(lam)^k / t(k, n) for the partition built.  The steps
-# of the (k, n) walk are kept in the dict _lam_steps(k, n), keyed by
-# (h, n'), for as many (k, n) as _level_table keeps tables.
-
-@lru_cache(maxsize=4)
-def _lam_steps(k, n):
-    return {}
-
-
-def _lam_step(k, n, h, units):
-    """The integer weights of the lam walk at the state (h, units) of the
-    (k, n) table, one per m = units % 2, units % 2 + 2, ..., and their total."""
-    steps = _lam_steps(k, n)
-    step = steps.get((h, units))
-    if step is None:
-        weights = tuple(level_terms(k, n, h, units))
-        step = steps[(h, units)] = weights, sum(weights)
-        assert not h or step[1] == _level_table(k, n)[(h, units)]
-    return step
-
+# takes m = n' - 2j parts of size 2^h with the j-th integer weight that
+# level_terms yields, by _pick_scan over their total, the table entry
+# R(h, n').  At n' = 1 the one option m = 1 takes no draw.  The step
+# probabilities multiply to z(lam)^(k-1) * q(lam)^k / t(k, n) for the
+# partition built.  The weights are made as the scan reads them, largest
+# m first, and none is kept: at the top state m = n, lam = (1^n), carries
+# about 88% of the tanglegram mass, so most draws read one weight there.
 
 def _draw_lam(n, k, rng):
     """A binary partition of n drawn with probability
     z^(k-1) * q^k / t(k, n)."""
+    table = _level_table(k, n)
     parts = []
     h, units = 0, n
     while units:
-        m = units % 2
+        m = 1
         if units > 1:
-            m += 2 * _pick_scan(*_lam_step(k, n, h, units), rng)
+            weights = level_terms(k, n, h, units, table)
+            m = units - 2 * _pick_scan(weights, table[(h, units)], rng)
         parts += [1 << h] * m
         units = (units - m) // 2
         h += 1

@@ -104,16 +104,21 @@ def test_overflowing_n_is_a_usage_error(capsys):
     (["sample", "tree", "--n", str(10 ** 22), "--seed", "1", "--count", "1"], "--n"),
     (["count", "trees", "--n", str(10 ** 12), "--method", "oracle"], "--n"),
     (["count", "trees", "--n", str(10 ** 22), "--method", "oracle"], "--n"),
+    (["sample", "tanglegram", "--n", str(10 ** 12), "--seed", "1", "--count", "1"], "--n"),
     (["sample", "tanglegram", "--n", str(10 ** 22), "--seed", "1", "--count", "1"], "--n"),
+    (["count", "tanglegrams", "--n", str(10 ** 12)], "--n"),
+    (["count", "chains", "--k", "3", "--n", str(10 ** 12)], "--n"),
     (["sample", "chain", "--k", "1", "--n", str(10 ** 22), "--seed", "1", "--count", "1"], "--n"),
     (["stats", "cherries", "--n", str(10 ** 22), "--samples", "1", "--seed", "1"], "--n"),
 ], ids=["n", "precision", "tree-sample-1e12", "tree-sample-1e22",
-        "tree-oracle-1e12", "tree-oracle-1e22", "tanglegram-sample-1e22",
+        "tree-oracle-1e12", "tree-oracle-1e22", "tanglegram-sample-1e12",
+        "tanglegram-sample-1e22", "tanglegram-count-1e12", "chain-count-1e12",
         "chain-sample-1e22", "cherries-1e22"])
 def test_unallocatable_size_is_a_usage_error(argv, flag):
     # 10^12 fits a machine integer, but the direct sum's table of n + 1
-    # entries, the tree-count table b_0..b_n, or a float of 10^12 bits
-    # does not fit in memory, and 10^22 does not fit a machine integer;
+    # entries, the tree-count table b_0..b_n, the level table's transform
+    # list of n/2 + 1 entries, or a float of 10^12 bits does not fit in
+    # memory, and 10^22 does not fit a machine integer;
     # the child's address space is capped, so the outcome does not
     # depend on the host's overcommit, and a size that is not refused at
     # once runs into the timeout instead of stalling the suite
@@ -197,7 +202,7 @@ def test_sample_deterministic(capsys):
 # A change to how any draw consumes the rng shows here, also under -O.
 PINNED_OUTPUT = {
     "sample tanglegram --n 120 --seed 5 --count 100":
-        "bc08be39f20f2158dfb787d93fbb566b8a956f929516851cbe02da2fd92ccc9a",
+        "b1d102839524144dc902a836010eda20889c725439f736540e1d558f91bd842a",
     "sample chain --k 3 --n 40 --seed 2 --count 30":
         "be2122885aa6c5769f4a5d13b98eaadcd81ce7bf1e7ab643bb2eb68bf2bfe3b5",
     "sample chain --k 5 --n 9 --seed 4 --count 80":
@@ -205,15 +210,15 @@ PINNED_OUTPUT = {
     "sample tree --n 60 --seed 3 --count 40":
         "d254800b4aeaa1e8bdcf2157250bc1cc28cefbb733373e3817cada4d565ced78",
     "stats cherries --n 200 --samples 50 --seed 1":
-        "99df242d932be6aad6613a760e843310036d440cabf57e6e5db132c3bee09cf6",
+        "306d171e781a9cad103d8896f82daa16c4c007c53c3e0de7f5ca2c920881876c",
     "sample tanglegram --n 40 --seed 6 --count 50 --format text":
-        "19da5f3b2b6415d98435e0740b6500ed382b4684b8be27a9d9ab1018b6d44242",
+        "4856885b0942aca3a0dddfd693a3fc8cb09cc5b53e5cc2f985d2665efb694dc0",
     "sample tree --n 60 --seed 3 --count 40 --format text":
         "f8891bcaa2b4f4f787ae956bdd547c9dbe0b82abf07d56515bba14212b36ca76",
     "sample chain --k 3 --n 40 --seed 2 --count 30 --format text":
         "f3eda55e3be2b9b4e8e029a33a1d8c6387ccd6ad27dcddf850a8de7c36895ab1",
     "sample chain --k 1 --n 30 --seed 8 --count 40 --format text":
-        "829a6307c693d7e9aa0e89cb0ee536cd77db44237fb5682c216002e232a1696a",
+        "13f21c420a28b3d0a2cc33d15042c8732a2e384ef47b7d665a27eaf8dbe54485",
 }
 
 

@@ -167,14 +167,19 @@ def test_recurrence_internals():
     # at the top state
     for h in range(5):
         for n0 in (0, 3, 12):
-            assert list(level_terms(2, n0, h, 0)) == [1]
-    assert sum(level_terms(2, 4, 0, 4)) == 637 * factorial(4) * 2 ** 4 == 244608
-    assert sum(level_terms(3, 3, 0, 3)) == 625 * factorial(3) * 2 ** 3
-    # one table per (k, n0), keyed by (h, n), holding the levels h >= 1;
-    # the count sums the top state from it
+            assert list(level_terms(2, n0, h, 0, _level_table(2, n0))) == [1]
+    assert sum(level_terms(2, 4, 0, 4, _level_table(2, 4))) == 637 * factorial(4) * 2 ** 4 == 244608
+    assert sum(level_terms(3, 3, 0, 3, _level_table(3, 3))) == 625 * factorial(3) * 2 ** 3
+    # one table per (k, n0), keyed by (h, n), holding every state; the
+    # count divides the top state
     table = _level_table(2, 4)
-    assert set(table) == {(1, 1), (1, 2), (2, 1)}
+    assert table == {(2, 1): 7 ** 2, (1, 1): 7 ** 2, (1, 2): (3 * 7) ** 2 + 2 * 7 ** 2,
+                     (0, 4): 244608}
     assert chain_count_rec(2, 4) == 637 // 7 ** 2 == 13
+    # largest m first, m = 4, 2, 0 ones: P(0, m) * 4!/(m! * rho!) << (m + rho),
+    # times R(1, rho)
+    assert list(level_terms(2, 4, 0, 4, table)) == [
+        (1 * 3 * 5 * 7) ** 2 << 4, (3 ** 2 * 12 << 3) * 7 ** 2, (12 << 2) * 539]
 
 
 def reference_level_r(k, n0):
@@ -204,21 +209,19 @@ def reference_level_r(k, n0):
 
 
 def test_level_table_against_fractions():
-    # every state of the levels h >= 1 holds r * n! * 2^(max(h, 1)*n),
-    # the sum of its terms, the top state's terms sum to the same, and
-    # every term of every state is an int
+    # every state, the top one included, holds r * n! * 2^(max(h, 1)*n),
+    # the sum of its terms, and every term of every state is an int
     for k in (1, 2, 3):
         for n0 in range(1, 40):
             table = _level_table(k, n0)
             ref = reference_level_r(k, n0)
-            assert set(table) == set(ref) - {(0, n0)}, (k, n0)
+            assert set(table) == set(ref), (k, n0)
             for (h, n), r in ref.items():
                 want = r * factorial(n) * 2 ** (max(h, 1) * n)
-                weights = list(level_terms(k, n0, h, n))
+                weights = list(level_terms(k, n0, h, n, table))
                 assert all(type(w) is int for w in weights)
                 assert sum(weights) == want, (k, n0, h, n)
-                if h:
-                    assert type(table[(h, n)]) is int and table[(h, n)] == want, (k, n0, h, n)
+                assert type(table[(h, n)]) is int and table[(h, n)] == want, (k, n0, h, n)
 
 
 def test_level_transform_against_its_terms():
@@ -229,13 +232,13 @@ def test_level_transform_against_its_terms():
     for k in (1, 2, 3, 4):
         for n0 in (64, 127, 128, 200, 255):
             table = _level_table(k, n0)
-            assert set(table) == {(h, n) for h in range(1, n0.bit_length())
-                                  for n in range(1, (n0 >> h) + 1)}, (k, n0)
+            assert set(table) == {(0, n0)} | {(h, n) for h in range(1, n0.bit_length())
+                                              for n in range(1, (n0 >> h) + 1)}, (k, n0)
             for (h, n), r in table.items():
-                assert r == sum(level_terms(k, n0, h, n)), (k, n0, h, n)
-            # the top state's terms against the direct sum, which reads no table
+                assert r == sum(level_terms(k, n0, h, n, table)), (k, n0, h, n)
+            # the top state against the direct sum, which reads no table
             top = (chain_count(k, n0) * factorial(n0) << n0) * (2 * n0 - 1) ** k
-            assert sum(level_terms(k, n0, 0, n0)) == top, (k, n0)
+            assert table[(0, n0)] == top, (k, n0)
 
 
 def test_three_routes_agree():

@@ -10,12 +10,18 @@ from fractions import Fraction
 import pytest
 
 from tanglekit import sample
-from tanglekit.counting import _level_table, chain_count, chain_count_rec, tanglegram_count, tree_count
+from tanglekit.counting import (
+    _level_table,
+    chain_count,
+    chain_count_rec,
+    level_terms,
+    tanglegram_count,
+    tree_count,
+)
 from tanglekit.partition import binary_partitions, q_of, z_of
 from tanglekit.perm import compose, cycle_type, cycles_of, identity, inverse, sample_conjugator
 from tanglekit.oracle import AUT_CAP, automorphism_group, canonical_chain_rep, canonical_rep
 from tanglekit.sample import (
-    _lam_step,
     TangledChain,
     Tanglegram,
     cherry_statistics,
@@ -183,16 +189,18 @@ def _lam_walk(k, n):
     """Exact distribution of the lam draw: every branch of the level
     walk, with the probability its integer weights give it."""
     out = {}
+    table = _level_table(k, n)
 
     def rec(h, units, parts, p):
         if not units:
             lam = tuple(sorted(parts, reverse=True))
             out[lam] = out.get(lam, 0) + p
             return
-        weights, total = _lam_step(k, n, h, units)
+        weights = list(level_terms(k, n, h, units, table))
+        total = table[(h, units)]
         assert total == sum(weights)
         for j, w in enumerate(weights):
-            m = units % 2 + 2 * j
+            m = units - 2 * j
             rec(h + 1, (units - m) // 2, parts + [1 << h] * m, p * Fraction(w, total))
 
     rec(0, n, [], Fraction(1))
@@ -209,27 +217,51 @@ def test_lam_draw_exact():
             assert _lam_walk(k, n) == want, (k, n)
 
 
-def test_lam_steps_live_as_long_as_their_table():
-    # a sweep over sizes keeps the walk's steps for as many (k, n) as the
-    # level table keeps tables, not one set per size drawn
-    rng = random.Random(40)
-    for n in range(2, 41):
-        random_tanglegram(n, rng)
-    assert sample._lam_steps.cache_info().maxsize == _level_table.cache_info().maxsize
-    assert sample._lam_steps.cache_info().currsize <= 4
-
-
-def test_level_table_holds_the_levels_below_the_top():
-    # neither the count nor the lam walk adds the top state to the table
+def test_level_table_holds_every_state():
+    # the table holds every state, the top state (0, n) included, and
+    # neither the count nor the lam walk adds a state to it
     _level_table.cache_clear()
     chain_count_rec.cache_clear()
     rng = random.Random(41)
-    for n in (2, 37, 64):
-        levels = {(h, m) for h in range(1, n.bit_length()) for m in range(1, (n >> h) + 1)}
+    for n in (1, 2, 37, 64):
+        states = {(0, n)} | {(h, m) for h in range(1, n.bit_length())
+                             for m in range(1, (n >> h) + 1)}
+        assert set(_level_table(2, n)) == states, n
         chain_count_rec(2, n)
-        assert set(_level_table(2, n)) == levels, n
-        random_tanglegram(n, rng)
-        assert set(_level_table(2, n)) == levels, n
+        assert set(_level_table(2, n)) == states, n
+        for _ in range(20):
+            random_tanglegram(n, rng)
+        assert set(_level_table(2, n)) == states, n
+
+
+def test_lam_draw_reads_weights_lazily(monkeypatch):
+    # the weights are made as the scan reads them, largest m first, so a
+    # draw of lam = (1^n), most of the mass, reads one weight at the top
+    read = []
+    pick_scan = sample._pick_scan
+
+    def counting_scan(weights, total, rng):
+        seen = []
+
+        def counted():
+            for w in weights:
+                seen.append(w)
+                yield w
+
+        j = pick_scan(counted(), total, rng)
+        read.append(len(seen))
+        return j
+
+    monkeypatch.setattr(sample, "_pick_scan", counting_scan)
+    rng = random.Random(42)
+    ones = 0
+    for _ in range(50):
+        read.clear()
+        lam = sample._draw_lam(1000, 2, rng)
+        if lam == (1,) * 1000:
+            ones += 1
+            assert read == [1], read
+    assert ones >= 30
 
 
 # ---------------------------------------------------------------- alg 3
