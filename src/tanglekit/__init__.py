@@ -4,8 +4,9 @@ inequivalent binary rooted trees, and tangled chains.
 The package is organized around sums over binary partitions: partition
 holds the partitions and their weights, counting the exact formulas and
 recurrences, sample the uniform generators, asym the floating-point
-approximations, oracle the brute-force cross-checks, and cli the
-command-line front end.
+approximations, oracle the brute-force cross-checks (the tree listing
+enumerate_trees, every cap, and the exact Fraction references the tests
+compare against), and cli the command-line front end.
 """
 
 from .counting import (
@@ -18,6 +19,7 @@ from .counting import (
     tree_count,
     tree_count_oracle,
 )
+from .oracle import enumerate_trees
 from .sample import (
     Tanglegram,
     TangledChain,
@@ -25,7 +27,6 @@ from .sample import (
     random_tanglegram,
     random_tree,
 )
-from .tree import enumerate_trees
 
 __version__ = "0.1.0"
 

@@ -22,7 +22,6 @@ from math import factorial
 from mpmath import mp, mpf, nstr, sqrt, exp, power, pi
 
 from .counting import catalan
-from .tree import enumerate_trees, symmetry_count
 
 COEFFS_A = (
     Fraction(1),
@@ -117,14 +116,3 @@ def relative_error(x, exact, precision):
     with mp.workprec(precision + 20):
         rel = x / mpf(exact) - 1
     return nstr(rel, 6)
-
-
-def generator_weight_sum(n):
-    """sum over trees T with n leaves of 4^-(leaves + symmetry_count(T)),
-    exact.  Summed over n = 1, 2, ... these partial sums increase
-    toward f(1/4) of f_fixed_point from below; no convergence is
-    asserted."""
-    total = Fraction(0)
-    for t in enumerate_trees(n):
-        total += Fraction(1, 4 ** (n + symmetry_count(t)))
-    return total

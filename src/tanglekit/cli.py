@@ -243,7 +243,7 @@ def run(argv):
         return 0 if e.code in (0, None) else int(e.code)
     try:
         return _HANDLERS[args.cmd](args)
-    except tree.CapError as e:
+    except oracle.CapError as e:
         print("error: %s" % e, file=sys.stderr)
         return 3
     except ValueError as e:

@@ -19,7 +19,6 @@ units left.  The mu sum walks its own parts of size 4 and up and folds
 its 2s the same way, in code of its own.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, perm, prod
 
@@ -368,19 +367,3 @@ def tanglegram_count_mu(n):
     val, rem = divmod(c * c * total, (odd * odd) << (2 * n - 2))
     assert rem == 0, "mu-form sum failed to clear its denominator"
     return val
-
-
-def r_poly(indices, x):
-    """The suffix-sum product r_S(x) for S = {i_1 < ... < i_k}:
-    prod_{j=2}^{k} (x_{i_j} + x_{i_{j+1}} + ... + x_{i_k} - 1),
-    an empty product (singleton S) being 1.  x is a 1-indexed sequence:
-    x[i-1] is the value at index i."""
-    s = sorted(indices)
-    if not s:
-        raise ValueError("need a nonempty index set")
-    out = Fraction(1)
-    suffix = Fraction(0)
-    for i in reversed(s[1:]):
-        suffix += x[i - 1]
-        out *= suffix - 1
-    return out

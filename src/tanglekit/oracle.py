@@ -1,13 +1,17 @@
-"""Brute-force enumeration at small sizes.
+"""Brute-force enumeration and exact references at small sizes.
 
 Everything here recomputes, from first principles and in the dumbest
 safe way, quantities the rest of the package obtains from formulas:
-automorphism groups by checking every leaf permutation against the edge
-set, classes of tangled chains (a tanglegram is the two-tree chain) by
-expanding whole orbits out of all tuples of matchings.  The point is
-independence: none of this shares code paths with the counting formulas
-or the samplers it validates.  One cap keeps the factorial blowup at
-bay: an enumeration expands at most 7! tuples of matchings per tuple of
+the trees of a size by listing every join, automorphism groups by
+checking every leaf permutation against the edge set, classes of
+tangled chains (a tanglegram is the two-tree chain) by expanding whole
+orbits out of all tuples of matchings, and the weights q, r_S and the
+generator sums toward f(1/4) in Fractions.  The point is independence:
+none of this shares code paths with the counting formulas or the
+samplers it validates, and only the CLI and the package's __init__
+import it.  Every cap lives here, and past one CapError is raised:
+trees are listed up to 20 leaves, brute automorphism groups stop at 8,
+and an enumeration expands at most 7! tuples of matchings per tuple of
 trees, or 8!, which takes minutes, behind an explicit flag.
 
 The canonical class representatives (canonical_rep and
@@ -19,16 +23,54 @@ test keeps the two group constructions in agreement.
 
 import itertools
 import warnings
+from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+from .partition import q_numerator, z_of
 from .perm import compose, flip, inverse
 from .sample import Tanglegram, TangledChain
-from .tree import CapError, enumerate_trees
+from .tree import LEAF, node, symmetry_count
 
+ENUMERATION_CAP = 20  # leaves of a listed tree
 BRUTE_CAP = factorial(7)  # tuples of matchings per tuple of trees
 SLOW_CAP = factorial(8)  # the same with allow_slow=True
 AUT_CAP = 8
+
+
+class CapError(ValueError):
+    """A request beyond the size cap of an enumeration or a brute-force
+    helper.  The CLI reports it with exit code 3."""
+
+
+@lru_cache(maxsize=64)  # listings stop far below 64 leaves, so every size stays
+def _all_trees(n):
+    if n == 1:
+        return (LEAF,)
+    out = []
+    for k in range(n - 1, (n - 1) // 2, -1):
+        lefts = _all_trees(k)
+        if 2 * k > n:
+            rights = _all_trees(n - k)
+            for a in lefts:
+                for b in rights:
+                    out.append(node(a, b))
+        else:
+            for i, a in enumerate(lefts):
+                for b in lefts[i:]:
+                    out.append(node(a, b))
+    return tuple(out)
+
+
+def enumerate_trees(n):
+    """All inequivalent binary trees with n leaves, in decreasing order
+    under compare.  Enumeration is restricted to n <= 20; counts past
+    the cap come from formulas, not listings."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if n > ENUMERATION_CAP:
+        raise CapError("enumeration capped at %d leaves (asked for %d)" % (ENUMERATION_CAP, n))
+    return _all_trees(n)
 
 
 def _leaf_sets(t, offset=0):
@@ -192,3 +234,35 @@ def unordered_count(reps):
 def brute_unordered_count(n):
     """unordered_count of the tanglegram classes of size n."""
     return unordered_count(brute_tanglegrams(n))
+
+
+def q_of(lam):
+    """The weight q of a partition tuple as an exact Fraction."""
+    return Fraction(q_numerator(lam), z_of(lam))
+
+
+def r_poly(indices, x):
+    """The suffix-sum product r_S(x) for S = {i_1 < ... < i_k}:
+    prod_{j=2}^{k} (x_{i_j} + x_{i_{j+1}} + ... + x_{i_k} - 1),
+    an empty product (singleton S) being 1.  x is a 1-indexed sequence:
+    x[i-1] is the value at index i."""
+    s = sorted(indices)
+    if not s:
+        raise ValueError("need a nonempty index set")
+    out = Fraction(1)
+    suffix = Fraction(0)
+    for i in reversed(s[1:]):
+        suffix += x[i - 1]
+        out *= suffix - 1
+    return out
+
+
+def generator_weight_sum(n):
+    """sum over trees T with n leaves of 4^-(leaves + symmetry_count(T)),
+    exact.  Summed over n = 1, 2, ... these partial sums increase
+    toward f(1/4) of f_fixed_point from below; no convergence is
+    asserted."""
+    total = Fraction(0)
+    for t in enumerate_trees(n):
+        total += Fraction(1, 4 ** (n + symmetry_count(t)))
+    return total

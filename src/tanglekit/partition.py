@@ -12,13 +12,14 @@ of equal-length cycles.  The rational weight
 
     q(lam) = (1/z(lam)) * prod_{i=2..len} (2*(lam_i + ... + lam_len) - 1)
 
-drives every counting formula and every sampler in this package: the sum
-of q over binary partitions of n is the number of inequivalent binary
-trees with n leaves, the sum of z*q^2 is the number of tanglegrams, and
-the sum of z^(k-1)*q^k is the number of tangled chains of length k.
+underlies every counting formula in this package: the sum of q over
+binary partitions of n is the number of inequivalent binary trees with
+n leaves, the sum of z*q^2 is the number of tanglegrams, and the sum of
+z^(k-1)*q^k is the number of tangled chains of length k.  The package
+computes with its integer parts z_of and q_numerator; the Fraction
+q_of that the tests compare against lives in oracle.py.
 """
 
-from fractions import Fraction
 from itertools import groupby, product
 
 
@@ -73,11 +74,6 @@ def q_numerator(parts):
         total += p
         numer *= 2 * total - 1
     return numer
-
-
-def q_of(lam):
-    """The weight q of a partition tuple as an exact Fraction."""
-    return Fraction(q_numerator(lam), z_of(lam))
 
 
 def split_pairs(parts):

@@ -132,7 +132,7 @@ def _pick_scan(weights, total, rng):
 
 
 def q_of(parts):
-    """q(parts) as the integers (q_numerator, z); partition.q_of is the
+    """q(parts) as the integers (q_numerator, z); oracle.q_of is the
     same ratio as a Fraction."""
     return q_numerator(parts), z_of(parts)
 
@@ -187,11 +187,9 @@ def random_tree_and_perm(parts, rng):
     numbers the leaves.
     """
     randrange = rng.randrange
-    ones = 0
-    while ones < len(parts) and parts[-1 - ones] == 1:
-        ones += 1
+    ones = parts.count(1)
     head = parts[:len(parts) - ones]
-    if not parts or any(c < 1 or c & (c - 1) or c < d for c, d in zip(head, head[1:] + head[-1:])):
+    if not parts or any(c < 2 or c & (c - 1) or c < d for c, d in zip(head, head[1:] + head[-1:])):
         raise ValueError("parts must be weakly decreasing powers of 2, got %r" % (parts,))
     size = 2 * ones - 1 if ones else 0
     left, right, parent = [-1] * size, [-1] * size, [-1] * size

@@ -15,13 +15,6 @@ the left (greater or equal) subtree first; all permutation work in
 perm.py and sample.py uses that labeling.
 """
 
-from functools import lru_cache
-
-
-class CapError(ValueError):
-    """A request beyond the size cap of an enumeration or a brute-force
-    helper.  The CLI reports it with exit code 3."""
-
 
 class Tree:
     __slots__ = ("left", "right", "leaves", "key")
@@ -104,39 +97,6 @@ def compare(a, b):
             a, b = stack.pop()
         else:
             return 0
-
-
-ENUMERATION_CAP = 20
-
-
-@lru_cache(maxsize=64)  # listings stop far below 64 leaves, so every size stays
-def _all_trees(n):
-    if n == 1:
-        return (LEAF,)
-    out = []
-    for k in range(n - 1, (n - 1) // 2, -1):
-        lefts = _all_trees(k)
-        if 2 * k > n:
-            rights = _all_trees(n - k)
-            for a in lefts:
-                for b in rights:
-                    out.append(node(a, b))
-        else:
-            for i, a in enumerate(lefts):
-                for b in lefts[i:]:
-                    out.append(node(a, b))
-    return tuple(out)
-
-
-def enumerate_trees(n):
-    """All inequivalent binary trees with n leaves, in decreasing order
-    under compare.  Enumeration is restricted to n <= 20; counts past
-    the cap come from formulas, not listings."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n > ENUMERATION_CAP:
-        raise CapError("enumeration capped at %d leaves (asked for %d)" % (ENUMERATION_CAP, n))
-    return _all_trees(n)
 
 
 def aut_size(t):

@@ -20,7 +20,6 @@ from tanglekit.counting import (
     chain_count,
     chain_count_rec,
     double_coset_count,
-    r_poly,
     tanglegram_count,
     tanglegram_count_mu,
     tanglegram_count_rec,
@@ -33,15 +32,18 @@ from tanglekit.oracle import (
     brute_unordered_count,
     canonical_chain_rep,
     canonical_rep,
+    enumerate_trees,
+    q_of,
+    r_poly,
 )
-from tanglekit.partition import binary_partitions, q_of
+from tanglekit.partition import binary_partitions
 from tanglekit.sample import (
     cherry_statistics,
     random_chain,
     random_tanglegram,
     random_tree,
 )
-from tanglekit.tree import LEAF, aut_size, cycle_type_table, enumerate_trees, node
+from tanglekit.tree import LEAF, aut_size, cycle_type_table, node
 
 TANGLEGRAMS = [1, 1, 2, 13, 114, 1509, 25595, 535753, 13305590, 382728552]
 TREES = [1, 1, 1, 2, 3, 6, 11, 23, 46, 98]

@@ -7,10 +7,10 @@ from tanglekit.asym import (
     COEFFS_A,
     COEFFS_B,
     f_fixed_point,
-    generator_weight_sum,
     t_asym,
 )
 from tanglekit.counting import tanglegram_count_rec
+from tanglekit.oracle import generator_weight_sum
 
 
 def test_coefficients_frozen():

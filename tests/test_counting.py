@@ -15,15 +15,15 @@ from tanglekit.counting import (
     chain_count_rec,
     double_coset_count,
     level_terms,
-    r_poly,
     tanglegram_count,
     tanglegram_count_mu,
     tanglegram_count_rec,
     tree_count,
     tree_count_oracle,
 )
-from tanglekit.partition import binary_partitions, q_of, z_of
-from tanglekit.tree import LEAF, enumerate_trees, node
+from tanglekit.oracle import enumerate_trees, q_of, r_poly
+from tanglekit.partition import binary_partitions, z_of
+from tanglekit.tree import LEAF, node
 
 T_SEQ = [1, 1, 2, 13, 114, 1509, 25595, 535753, 13305590, 382728552]
 B_SEQ = [1, 1, 1, 2, 3, 6, 11, 23, 46, 98, 207, 451]

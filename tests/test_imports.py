@@ -1,9 +1,10 @@
 """Every name a module of the package imports is used in that module,
-every module-level private name is used somewhere in the package, the
-sampler imports no rational arithmetic and the counting routes use
-none, only asym.py imports mpmath and only the commands that print
-floats load it, and the counting routes stay independent of one
-another."""
+every module-level private name is used somewhere in the package, only
+asym.py and oracle.py import rational arithmetic, only asym.py imports
+mpmath and only the commands that print floats load it, brute force and
+its caps stay in oracle.py, which only cli.py and __init__.py import,
+each module imports alone, and the counting routes stay independent of
+one another."""
 
 import ast
 import os
@@ -79,33 +80,81 @@ def test_no_unused_private_names():
     assert not found, "unused private names: " + ", ".join("%s:%s" % key for key in found)
 
 
+def imported_names(source):
+    """Every module and name the imports of `source` mention, each
+    dotted module split into its parts: `from .oracle import q_of`
+    gives {"oracle", "q_of"}."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names.update(alias.name.split("."))
+    return names - {""}
+
+
+def importers(name):
+    """The file names of the package modules that import `name`."""
+    return {path.name for path in SRC.glob("*.py") if name in imported_names(path.read_text())}
+
+
 def test_sampler_is_integer_only():
     # every option table of the sampler holds integers: nothing from
     # fractions, no lcm to put Fractions over one denominator, and not
-    # partition.q_of, which returns a Fraction
-    imported = set()
-    for node in ast.walk(ast.parse((SRC / "sample.py").read_text())):
-        if isinstance(node, ast.ImportFrom):
-            imported.add(node.module)
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            imported.update(alias.name for alias in node.names)
+    # oracle.q_of, which returns a Fraction
+    imported = imported_names((SRC / "sample.py").read_text())
     assert not imported & {"fractions", "Fraction", "lcm", "q_of"}, imported
 
 
 def test_only_asym_imports_mpmath():
     # floats live in asym.py alone, which also formats those the CLI prints
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom):
-                modules = [node.module or ""]
-            elif isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
+    assert importers("mpmath") <= {"asym.py"}
+
+
+def test_only_asym_and_oracle_import_fractions():
+    # every counting route, table and sampler stays in integers; asym
+    # keeps its series coefficients and oracle its exact references in
+    # Fractions
+    assert importers("fractions") == {"asym.py", "oracle.py"}
+
+
+def test_brute_force_stays_in_oracle():
+    # no formula or sampler can come to depend on brute force, and every
+    # cap, with the error raised past one, is defined next to it
+    assert importers("oracle") == {"__init__.py", "cli.py"}
+    defined = {}
+    for path in SRC.glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, ast.ClassDef):
+                names = [stmt.name]
+            elif isinstance(stmt, ast.Assign):
+                names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
             else:
-                continue
-            if any(m.split(".")[0] == "mpmath" for m in modules):
-                found.append(path.name)
-    assert set(found) <= {"asym.py"}, found
+                names = []
+            for name in names:
+                if name == "CapError" or name.endswith("_CAP"):
+                    defined.setdefault(name, set()).add(path.name)
+    assert {"CapError", "ENUMERATION_CAP", "AUT_CAP"} <= set(defined), defined
+    assert all(files == {"oracle.py"} for files in defined.values()), defined
+
+
+def test_each_module_imports_alone():
+    # each module in a fresh interpreter, with the package's __init__.py
+    # left out, so its import order cannot hide a cycle between modules
+    script = (
+        "import importlib, sys, types\n"
+        "package = types.ModuleType('tanglekit')\n"
+        "package.__path__ = [sys.argv[1]]\n"
+        "sys.modules['tanglekit'] = package\n"
+        "importlib.import_module('tanglekit.' + sys.argv[2])\n"
+    )
+    modules = sorted(path.stem for path in SRC.glob("*.py") if path.name != "__init__.py")
+    assert "oracle" in modules and "cli" in modules
+    for module in modules:
+        proc = subprocess.run([sys.executable, "-c", script, str(SRC), module],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, (module, proc.stderr)
 
 
 def test_cli_loads_mpmath_only_for_floats():
@@ -149,12 +198,3 @@ def test_counting_routes_are_independent():
     # the direct and mu sums each fold a tail of 2s, in code of their own
     assert not names["tanglegram_count_mu"] & {"_power_sum", "chain_count", "tanglegram_count"}
     assert "tanglegram_count_mu" not in names["_power_sum"]
-
-
-def test_counting_routes_are_integer_only():
-    # counting.py imports Fraction for r_poly alone; every counting
-    # route, the level table and the tree counts stay in integers
-    names = names_in_functions((SRC / "counting.py").read_text())
-    for route in ("_power_sum", "chain_count", "_level_table", "level_terms", "chain_count_rec",
-                  "tanglegram_count_mu", "tree_terms", "tree_count_table"):
-        assert "Fraction" not in names[route], route

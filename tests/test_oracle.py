@@ -16,8 +16,9 @@ from tanglekit.oracle import (
     brute_tanglegrams,
     brute_unordered_count,
     canonical_rep,
+    enumerate_trees,
 )
-from tanglekit.tree import LEAF, aut_size, cycle_type_table, enumerate_trees, node
+from tanglekit.tree import LEAF, aut_size, cycle_type_table, node
 
 CHERRY = node(LEAF, LEAF)
 

@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from tanglekit.oracle import q_of
 from tanglekit.partition import (
     binary_partitions,
     q_numerator,
-    q_of,
     split_pairs,
     z_of,
 )

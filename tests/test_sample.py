@@ -18,9 +18,16 @@ from tanglekit.counting import (
     tanglegram_count,
     tree_count,
 )
-from tanglekit.partition import binary_partitions, q_of, z_of
+from tanglekit.partition import binary_partitions, z_of
 from tanglekit.perm import compose, cycle_type, cycles_of, identity, inverse, sample_conjugator
-from tanglekit.oracle import AUT_CAP, automorphism_group, canonical_chain_rep, canonical_rep
+from tanglekit.oracle import (
+    AUT_CAP,
+    automorphism_group,
+    canonical_chain_rep,
+    canonical_rep,
+    enumerate_trees,
+    q_of,
+)
 from tanglekit.sample import (
     TangledChain,
     Tanglegram,
@@ -31,7 +38,7 @@ from tanglekit.sample import (
     random_tree,
     random_tree_and_perm,
 )
-from tanglekit.tree import LEAF, aut_size, enumerate_trees, node, parse
+from tanglekit.tree import LEAF, aut_size, node, parse
 
 CHERRY = node(LEAF, LEAF)
 BAL4 = node(CHERRY, CHERRY)
@@ -92,7 +99,7 @@ def test_tree_and_perm_trivial_cases():
 def test_tree_and_perm_empty_partition_rejected():
     # empty, not a power of 2, not positive, or not weakly decreasing
     rng = random.Random(22)
-    for parts in ((), (3,), (0,), (-1,), (6, 2), (1, 2)):
+    for parts in ((), (3,), (0,), (-1,), (6, 2), (1, 2), (1, 2, 1), (2, 1, 2), (1, 1, 2)):
         with pytest.raises(ValueError, match="parts"):
             random_tree_and_perm(parts, rng)
 

@@ -11,7 +11,8 @@ import pytest
 
 import tanglekit
 from tanglekit.counting import double_coset_count
-from tanglekit.partition import binary_partitions, q_of
+from tanglekit.oracle import enumerate_trees, q_of
+from tanglekit.partition import binary_partitions
 from tanglekit.sample import random_automorphism
 from tanglekit.tree import (
     LEAF,
@@ -19,7 +20,6 @@ from tanglekit.tree import (
     compare,
     count_occurrences,
     cycle_type_table,
-    enumerate_trees,
     node,
     parse,
     symmetry_count,
