@@ -192,30 +192,28 @@ def double_coset_count(T, S):
 # (h, n) holds them all, the top state (0, n0) included.  The sampler in
 # sample.py walks the same table top down to draw a cycle type.
 #
-# The table holds integers only.  Every state stores
-# R(h, n) = r(h, n) * n! * 2^(max(h, 1) * n), and with rho = (n-m)/2 the
-# step reads
+# The table holds integers only.  Every state, the top one included,
+# stores R(h, n) = r(h, n) * n! * 2^(h*n).  With rho = (n-m)/2,
+# n!/(m! * rho!) = C(n, 2*rho) * (2*rho-1)!! * 2^rho, so the step reads
 #
-#   R(h, n) = sum_m P(h, m) * n!/(m! * rho!) * 2^((h-1)*rho) * R(h+1, rho)
+#   R(h, n) = sum_m P(h, m) * C(n, 2*rho) * (2*rho-1)!! * 2^(h*rho) * R(h+1, rho).
 #
-# for h >= 1, with 2^(m+rho) in place of 2^((h-1)*rho) at the top state.
 # So every entry is the sum of its terms, and chain_count_rec divides
-# R(0, n0) once, by n0! * 2^n0 * (2n0-1)^k.  Along one state,
-# P * n!/(m! * rho!) is carried as one integer, from m = n down: from m
-# to m - 2 it gains m(m-1) and loses, by exact division, the new rho and
-# the two factors of P that drop out.
+# R(0, n0) once, by n0! * (2n0-1)^k.  Along one state,
+# P * C(n, 2*rho) * (2*rho-1)!! is carried as one integer, from m = n
+# down: from m to m - 2 it gains m(m-1) and loses, by exact division,
+# 2 * rho for the new rho and the two factors of P that drop out.
 #
 # level_terms writes that sum out, largest m first; the table sums it
 # at the one top state, and builds the levels h >= 1 without its
-# big-by-big products.  Fix
-# such a level, let N = n0 // 2^h be its largest n, and put
+# big-by-big products.  Fix such a level, let N = n0 // 2^h be its
+# largest n, and put
 #
 #   f(u) = (2*(n0 - u*2^h) - 1)^k,   S(i) = f(i) * f(i+1) * ... * f(N-1),
 #
 # with S(N) = 1.  The factors of P(h, m) at the state (h, n) are f(u) for
-# u = n - m = 2*rho .. n - 1, so P = S(2*rho) / S(n).  Also
-# n!/(m! * rho!) = C(n, 2*rho) * (2*rho)!/rho! and
-# (2*rho)!/rho! * 2^((h-1)*rho) = (2*rho-1)!! * 2^(h*rho).  Hence
+# u = n - m = 2*rho .. n - 1, so P = S(2*rho) / S(n), and each weight
+# is C(n, 2*rho) * c_(2*rho) / S(n), one term of
 #
 #   R(h, n) * S(n) = sum_i C(n, i) * c_i,
 #   c_(2*rho) = (2*rho-1)!! * 2^(h*rho) * R(h+1, rho) * S(2*rho),
@@ -232,9 +230,10 @@ def double_coset_count(T, S):
 
 @lru_cache(maxsize=4)
 def _level_table(k, n0):
-    """The (k, n0) table, a dict (h, n) -> R(h, n) holding every state:
-    each level h >= 1 one binomial transform of the level below, then the
-    top state (0, n0), the sum of level_terms(k, n0, 0, n0, table).  No
+    """The (k, n0) table, a dict (h, n) -> R(h, n) = r(h, n) * n! * 2^(h*n)
+    holding every state at that one scale: each level h >= 1 one binomial
+    transform of the level below, then the top state (0, n0), the sum of
+    level_terms(k, n0, 0, n0, table), n0! * (2n0-1)^k * t(k, n0).  No
     entry changes after the table is returned.  The last few tables are
     kept, so a batch of samples at one size reuses its table.  The one
     transform list, of the largest level's length, is allocated before
@@ -263,33 +262,32 @@ def _level_table(k, n0):
 def level_terms(k, n0, h, n, table):
     """Yield the integer weight of each admissible number m of parts of
     size 2^h at the state (h, n) of the (k, n0) recurrence, largest m
-    first: m = n, n - 2, ..., n % 2.  The weights of the next level down
-    are read from table, which must hold them; they sum to R(h, n), the
-    entry _level_table(k, n0)[(h, n)]."""
+    first: m = n, n - 2, ..., n % 2, each one term of the step above.
+    The entries of the next level down are read from table, which must
+    hold them; the weights sum to R(h, n) = _level_table(k, n0)[(h, n)]."""
     step = 1 << h
     s = n0 - n * step
     carry = prod(range(2 * (s + step) - 1, 2 * (s + n * step), 2 * step)) ** k  # P(h, n)
     m, rho = n, 0
     while True:
-        shift = (h - 1) * rho if h else m + rho
-        yield (carry << shift) * (table[(h + 1, rho)] if rho else 1)
+        yield (carry << h * rho) * (table[(h + 1, rho)] if rho else 1)
         if m < 2:
             return
         rho += 1
         shrink = ((2 * (s + (m - 1) * step) - 1) * (2 * (s + m * step) - 1)) ** k
-        carry = carry * (m * (m - 1)) // (shrink * rho)
+        carry = carry * (m * (m - 1)) // (2 * rho * shrink)
         m -= 2
 
 
 @lru_cache(maxsize=4)
 def chain_count_rec(k, n):
-    """t(k,n) = R(0, n) / (n! * 2^n * (2n-1)^k) by the level recurrence
-    above, which lists no partition, so it scales to n in the thousands.
-    The last few counts are kept, which spares a repeat the division."""
+    """t(k,n) = R(0, n) / (n! * (2n-1)^k) by the level recurrence above,
+    which lists no partition, so it scales to n in the thousands.  The
+    last few counts are kept, which spares a repeat the division."""
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
     top = _level_table(k, n)[(0, n)]
-    val, rem = divmod(top, (factorial(n) << n) * (2 * n - 1) ** k)
+    val, rem = divmod(top, factorial(n) * (2 * n - 1) ** k)
     assert rem == 0, "recurrence value failed to clear its denominator"
     return val
 

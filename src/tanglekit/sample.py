@@ -382,6 +382,8 @@ def cherry_statistics(n, samples, rng, pattern=None):
     limit mean n/2^(l+k-1) for a pattern with l leaves and k
     symmetries, which is n/4 for a cherry.
     """
+    if n < 1 or samples < 1:
+        raise ValueError("need n >= 1 and samples >= 1")
     if pattern is None:
         name = "cherries"
         pattern = node(LEAF, LEAF)

@@ -10,6 +10,7 @@ import pytest
 import tanglekit
 from tanglekit.counting import (
     _level_table,
+    _power_sum,
     catalan,
     chain_count,
     chain_count_rec,
@@ -162,24 +163,23 @@ def test_tree_oracle_is_a_loop():
 
 def test_recurrence_internals():
     # the terms of the state (h, n) of the (k, n0) table sum to
-    # R(h, n) = r(h, n, n0 - n*2^h) * n! * 2^(max(h, 1)*n) for chain
-    # length k: 1 * 0! * 2^0 in the base case, and r(0, n0) * n0! * 2^n0
-    # at the top state
+    # R(h, n) = r(h, n, n0 - n*2^h) * n! * 2^(h*n) for chain length k:
+    # 1 * 0! * 2^0 in the base case, and r(0, n0) * n0! at the top state
     for h in range(5):
         for n0 in (0, 3, 12):
             assert list(level_terms(2, n0, h, 0, _level_table(2, n0))) == [1]
-    assert sum(level_terms(2, 4, 0, 4, _level_table(2, 4))) == 637 * factorial(4) * 2 ** 4 == 244608
-    assert sum(level_terms(3, 3, 0, 3, _level_table(3, 3))) == 625 * factorial(3) * 2 ** 3
+    assert sum(level_terms(2, 4, 0, 4, _level_table(2, 4))) == 637 * factorial(4) == 15288
+    assert sum(level_terms(3, 3, 0, 3, _level_table(3, 3))) == 625 * factorial(3)
     # one table per (k, n0), keyed by (h, n), holding every state; the
     # count divides the top state
     table = _level_table(2, 4)
     assert table == {(2, 1): 7 ** 2, (1, 1): 7 ** 2, (1, 2): (3 * 7) ** 2 + 2 * 7 ** 2,
-                     (0, 4): 244608}
+                     (0, 4): 15288}
     assert chain_count_rec(2, 4) == 637 // 7 ** 2 == 13
-    # largest m first, m = 4, 2, 0 ones: P(0, m) * 4!/(m! * rho!) << (m + rho),
+    # largest m first, m = 4, 2, 0 ones: P(0, m) * C(4, 2*rho) * (2*rho-1)!!,
     # times R(1, rho)
     assert list(level_terms(2, 4, 0, 4, table)) == [
-        (1 * 3 * 5 * 7) ** 2 << 4, (3 ** 2 * 12 << 3) * 7 ** 2, (12 << 2) * 539]
+        (1 * 3 * 5 * 7) ** 2, 3 ** 2 * 6 * 7 ** 2, 3 * 539] == [11025, 2646, 1617]
 
 
 def reference_level_r(k, n0):
@@ -209,7 +209,7 @@ def reference_level_r(k, n0):
 
 
 def test_level_table_against_fractions():
-    # every state, the top one included, holds r * n! * 2^(max(h, 1)*n),
+    # every state, the top one included, holds r * n! * 2^(h*n),
     # the sum of its terms, and every term of every state is an int
     for k in (1, 2, 3):
         for n0 in range(1, 40):
@@ -217,7 +217,7 @@ def test_level_table_against_fractions():
             ref = reference_level_r(k, n0)
             assert set(table) == set(ref), (k, n0)
             for (h, n), r in ref.items():
-                want = r * factorial(n) * 2 ** (max(h, 1) * n)
+                want = r * factorial(n) * 2 ** (h * n)
                 weights = list(level_terms(k, n0, h, n, table))
                 assert all(type(w) is int for w in weights)
                 assert sum(weights) == want, (k, n0, h, n)
@@ -236,9 +236,8 @@ def test_level_transform_against_its_terms():
                                               for n in range(1, (n0 >> h) + 1)}, (k, n0)
             for (h, n), r in table.items():
                 assert r == sum(level_terms(k, n0, h, n, table)), (k, n0, h, n)
-            # the top state against the direct sum, which reads no table
-            top = (chain_count(k, n0) * factorial(n0) << n0) * (2 * n0 - 1) ** k
-            assert table[(0, n0)] == top, (k, n0)
+            # the top state is the direct sum's integer, which reads no table
+            assert table[(0, n0)] == _power_sum(n0, k), (k, n0)
 
 
 def test_three_routes_agree():

@@ -372,8 +372,8 @@ def test_canonical_rep_idempotent_and_invariant():
         assert rep.matching <= tg.matching
         assert canonical_rep(rep) == rep
         # acting by automorphisms on either side never changes the class
-        u = random_automorphism(tg.left, rng)
-        w = random_automorphism(tg.right, rng)
+        u = rng.choice(automorphism_group(tg.left))
+        w = rng.choice(automorphism_group(tg.right))
         moved = Tanglegram(tg.left, tg.right, compose(u, compose(tg.matching, w)))
         assert canonical_rep(moved) == rep
 
@@ -400,7 +400,7 @@ def test_canonical_chain_rep_invariant():
     for _ in range(30):
         ch = random_chain(3, 4, rng)
         rep = canonical_chain_rep(ch)
-        ts = [random_automorphism(t, rng) for t in ch.trees]
+        ts = [rng.choice(automorphism_group(t)) for t in ch.trees]
         moved = []
         for i, m in enumerate(ch.matchings):
             moved.append(compose(ts[i], compose(m, inverse(ts[i + 1]))))
@@ -562,6 +562,12 @@ def test_cherry_statistics_degenerate():
     assert out["mean"] == 1.0
     assert out["variance"] == 0.0
     assert out["reference"] == 0.5
+
+
+def test_cherry_statistics_rejects_bad_arguments():
+    for n, samples in ((5, 0), (5, -1), (0, 5)):
+        with pytest.raises(ValueError, match="need n >= 1 and samples >= 1"):
+            cherry_statistics(n, samples, random.Random(75))
 
 
 def test_cherry_statistics_n4():
