@@ -259,6 +259,12 @@ def _level_table(k, n0):
     return table
 
 
+@lru_cache(maxsize=4)
+def _top_carry(k, n0):
+    """P(0, n0) = ((2n0 - 1)!!)^k, the first weight of the top state."""
+    return prod(range(1, 2 * n0, 2)) ** k
+
+
 def level_terms(k, n0, h, n, table):
     """Yield the integer weight of each admissible number m of parts of
     size 2^h at the state (h, n) of the (k, n0) recurrence, largest m
@@ -267,7 +273,9 @@ def level_terms(k, n0, h, n, table):
     hold them; the weights sum to R(h, n) = _level_table(k, n0)[(h, n)]."""
     step = 1 << h
     s = n0 - n * step
-    carry = prod(range(2 * (s + step) - 1, 2 * (s + n * step), 2 * step)) ** k  # P(h, n)
+    # P(h, n); the top state's, which every lambda draw reads, is kept
+    carry = _top_carry(k, n0) if n == n0 else prod(
+        range(2 * (s + step) - 1, 2 * (s + n * step), 2 * step)) ** k
     m, rho = n, 0
     while True:
         yield (carry << h * rho) * (table[(h + 1, rho)] if rho else 1)

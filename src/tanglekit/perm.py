@@ -33,6 +33,9 @@ def cycles_of(p):
     for i in range(1, n + 1):
         if seen[i]:
             continue
+        if p[i - 1] == i:  # a fixed point; no later cycle reaches it
+            out.append((i,))
+            continue
         cyc = []
         j = i
         while not seen[j]:
@@ -79,22 +82,31 @@ def sample_conjugator(u, v, rng):
     cycles plus a rotation offset per cycle; there are
     prod_c c^{m_c} m_c! of them.  Shuffling the target cycles of each
     length and drawing each offset uniformly hits every conjugator with
-    equal probability.
+    equal probability.  The lengths are taken in the order in which
+    they first occur among v's cycles, and a 1-cycle has one offset, so
+    none is drawn for it.
     """
-    cu, cv = {}, {}  # cycle length -> the cycles of that length, in canonical order
-    for by_len, p in ((cu, u), (cv, v)):
-        for c in cycles_of(p):
-            by_len.setdefault(len(c), []).append(c)
-    if sorted(cu) != sorted(cv) or any(len(cu[c]) != len(cv[c]) for c in cu):
+    cv = cycles_of(v)
+    order = dict.fromkeys(map(len, cv))  # each length once, as it first occurs in v
+    cu = sorted(cycles_of(u), key=len)
+    cv.sort(key=len)  # stable: each length's run stays in canonical order
+    lens = list(map(len, cv))
+    if list(map(len, cu)) != lens:
         raise ValueError("cycle types differ")
     w = [0] * len(u)
-    for ln, vcycs in cv.items():
-        targets = cu[ln]
+    for ln in order:
+        lo = lens.index(ln)
+        hi = lo + lens.count(ln)
+        targets = cu[lo:hi]
         rng.shuffle(targets)
-        for vc, uc in zip(vcycs, targets):
+        if ln == 1:
+            for (a,), (b,) in zip(cv[lo:hi], targets):
+                w[a - 1] = b
+            continue
+        for vc, uc in zip(cv[lo:hi], targets):
             r = rng.randrange(ln)
-            for idx, a in enumerate(vc):
-                w[a - 1] = uc[(idx + r) % ln]
+            for a, b in zip(vc, uc[r:] + uc[:r]):
+                w[a - 1] = b
     # u o w = w o v, that is u = w o v o w^-1
     assert [u[x - 1] for x in w] == [w[x - 1] for x in v]
     return tuple(w)

@@ -164,7 +164,9 @@ PERFBENCH_NAMES = (q_of, split_pairs, interleave)
 # the identity on that prefix and the choices are the same draws.  Most
 # tanglegrams have lam = (1^n) (the share tends to e^(-1/8) = 0.88);
 # then sigma is the identity, so w, which is sigma read on the leaves
-# in DFS order, is the identity whatever the tree and the coins.
+# in DFS order, is the identity whatever the tree and the coins.  So
+# the coins are tossed only when lam has a part >= 2; without them each
+# (T, id) keeps its n!/|A(T)| labellings, 1/(|A(T)|*q(lam)) as z = n!.
 
 def random_tree_and_perm(parts, rng):
     """A pair (T, w) with w an automorphism of T of cycle type `parts`,
@@ -184,7 +186,7 @@ def random_tree_and_perm(parts, rng):
     sigma^t(v) with the children sigma^t(v) and (d, t).  T and w are
     then read off by loops, so depth is not limited: node gives T
     bottom up, a coin orders each pair of equal subtrees, and a DFS
-    numbers the leaves.
+    numbers the leaves, both only when some part is >= 2.
     """
     randrange = rng.randrange
     ones = parts.count(1)
@@ -251,14 +253,11 @@ def random_tree_and_perm(parts, rng):
             b = right[v]
             ta, tb = tree[a], tree[b]
             t = tree[v] = node(ta, tb)
-            # read the children in node's order, or by a coin when equal
-            if ta.key == tb.key:
-                swap = randrange(2)
-            else:
-                swap = t.left is not ta
-            if swap:
+            # read the children in node's order, or by a coin when equal;
+            # neither when every part is 1, as w is then the identity
+            if head and (randrange(2) if ta.key == tb.key else t.left is not ta):
                 left[v], right[v] = b, a
-    if ones == len(parts):
+    if not head:
         return tree[root], tuple(range(1, ones + 1))
     pos = [0] * len(sigma)
     leaves = []

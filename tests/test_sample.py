@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import os
 import random
@@ -486,9 +487,9 @@ def test_exact_uniform_tanglegrams(monkeypatch):
 
 
 def test_exact_uniform_trees(monkeypatch):
-    # the recursive method over b_n for n <= 8, and the paper's route at
-    # k = 1 for n <= 7, whose choice tree has one path per labelled tree
-    for draw, top in ((random_tree, 8), (lambda n, r: random_chain(1, n, r).trees[0], 7)):
+    # the recursive method over b_n and the paper's route at k = 1, both
+    # for n <= 8
+    for draw, top in ((random_tree, 8), (lambda n, r: random_chain(1, n, r).trees[0], 8)):
         for n in range(1, top + 1):
             dist = _exact_distribution(lambda r: draw(n, r), monkeypatch)
             assert set(dist) == set(enumerate_trees(n))
@@ -513,6 +514,23 @@ def test_exact_tree_and_perm_lemma(monkeypatch):
                                  for w in automorphism_group(t) if cycle_type(w) == lam}
             for (t, _), p in dist.items():
                 assert p == 1 / (aut_size(t) * q_of(lam)), (lam, t)
+
+
+def test_exact_uniform_conjugator(monkeypatch):
+    # for every pair (u, v) of one cycle type, n <= 5, the conjugator
+    # hits exactly the w with w o v o w^-1 = u, each with probability
+    # 1/z(type)
+    for n in range(1, 6):
+        perms = list(itertools.permutations(range(1, n + 1)))
+        for v in perms:
+            conjugators = {}  # u -> every w with w o v o w^-1 = u
+            for w in perms:
+                conjugators.setdefault(compose(w, compose(v, inverse(w))), set()).add(w)
+            z = z_of(cycle_type(v))
+            for u, ws in conjugators.items():
+                dist = _exact_distribution(lambda r: sample_conjugator(u, v, r), monkeypatch)
+                assert set(dist) == ws and len(ws) == z, (u, v)
+                assert set(dist.values()) == {Fraction(1, z)}, (u, v)
 
 
 # ------------------------------------------------------------ containers
@@ -626,7 +644,8 @@ def test_same_seed_same_stream():
 def _reference_random_tree_and_perm(parts, rng):
     """random_tree_and_perm before the 1-cycles had a step of their
     own: every cycle goes through the orbit loop, the coin asks
-    Tree.__eq__, and the leaf-numbering DFS always runs."""
+    Tree.__eq__, and the leaf-numbering DFS always runs.  It draws as
+    random_tree_and_perm does, so no coin when lam = (1^n)."""
     if not parts:
         raise ValueError("empty partition")
     left, right, parent, sigma = [], [], [], []
@@ -672,9 +691,10 @@ def _reference_random_tree_and_perm(parts, rng):
         a, b = left[v], right[v]
         if a >= 0:
             t = tree[v] = node(tree[a], tree[b])
-            # read the children in node's order, or by a coin when equal
+            # read the children in node's order, or by a coin when equal;
+            # no coin when lam = (1^n), as sigma and w are the identity
             if t.left == t.right:
-                swap = rng.randrange(2)
+                swap = max(parts) > 1 and rng.randrange(2)
             else:
                 swap = t.left is not tree[a]
             if swap:
@@ -693,8 +713,10 @@ def _reference_random_tree_and_perm(parts, rng):
 
 
 def _reference_sample_conjugator(u, v, rng):
-    """sample_conjugator before it shuffled its cycle lists in place and
-    checked u o w = w o v without building three tuples."""
+    """sample_conjugator before it sorted its cycle lists by length and
+    checked u o w = w o v without building three tuples: a dict of
+    cycles per length, and an index modulo the length per point.  It
+    draws as sample_conjugator does, so no offset for a 1-cycle."""
     cu, cv = {}, {}  # cycle length -> the cycles of that length, in canonical order
     for by_len, p in ((cu, u), (cv, v)):
         for c in cycles_of(p):
@@ -706,7 +728,7 @@ def _reference_sample_conjugator(u, v, rng):
         targets = list(cu[ln])
         rng.shuffle(targets)
         for vc, uc in zip(vcycs, targets):
-            r = rng.randrange(ln)
+            r = rng.randrange(ln) if ln > 1 else 0  # a 1-cycle has one offset
             for idx, a in enumerate(vc):
                 w[a - 1] = uc[(idx + r) % ln]
     w = tuple(w)
