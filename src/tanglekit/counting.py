@@ -11,12 +11,12 @@ general k counts ordered tangled chains of length k.  Three independent
 routes to the same numbers are provided: the direct sum, a recurrence
 that never touches partitions explicitly, and (for k = 2) a rearranged
 sum with a Catalan prefactor.  Agreement of all three is the strongest
-internal consistency check in the package.  The direct sum lists only
-the parts of size 4 and up, carrying one integer per branch and placing
-its 4s in the walk's own frame; the 2s and 1s that complete them are
-folded in closed form, one tail of small-ratio steps per number of
-units left.  The mu sum walks its own parts of size 4 and up and folds
-its 2s the same way, in code of its own.
+internal consistency check in the package.  The direct sum lists no
+partition: it sums its parts of size 4 and up one size at a time, into
+one integer per number of units left, and the 2s and 1s that complete
+them are folded in closed form, one tail of small-ratio steps per
+number of units left.  The mu sum loops over its own parts of size 4
+and up and folds its 2s the same way, in code of its own.
 """
 
 from functools import lru_cache
@@ -35,59 +35,54 @@ PERFBENCH_NAMES = (binary_partitions,)
 def _power_sum(n, k):
     """n! * (2n-1)^k * t(k,n) as one exact integer.
 
-    Walks the tree of binary partitions, part sizes from the largest
-    power of 2 down to 4, carrying one integer along each branch:
-    E = n!/z(partial) times the product of (2r-1)^k over the parts
-    placed, where r is the sum of a part and all parts after it.  No part
-    is skipped, so a whole partition lam adds n! * (2n-1)^k * z^(k-1) *
-    q^k: the largest part's factor is always (2n-1)^k, and the caller
-    divides it out once.  The m-th part p placed with r left does
-    E = E // (p*m) * (2r-1)^k; the division is exact because z(partial)
-    * p * m is the z of a partial partition, which divides n!.
+    Sums over the partial partitions into parts of size 4 and up, one
+    part size at a time, from the largest power of 2 down to 4.  Each
+    partial partition carries one integer E = n!/z(partial) times the
+    product of (2r-1)^k over the parts placed, where r is the sum of a
+    part and all parts after it.  No part is skipped, so a whole
+    partition lam adds n! * (2n-1)^k * z^(k-1) * q^k: the largest part's
+    factor is always (2n-1)^k, and the caller divides it out once.
 
-    Wherever only 2s and 1s are left to place, the walk adds E into
-    acc[s], s being the units left.  The 4s are the last size it lists,
-    and they are placed in the running frame, which adds E once per
-    number of 4s, none included, so the walk stays about log2(n) frames
-    deep.  Every completion of such a branch is j twos and then s - 2j
-    ones, so after the walk each s gets its tail once, summed over j:
+    acc[r] holds the sum of E over the partial partitions whose parts of
+    the sizes done so far are placed and which leave r units.  Size p
+    keeps each of them with no part p, and places m = 1, 2, ... parts p
+    on it: the m-th with r left does E = E // (p*m) * (2r-1)^k and
+    leaves r - p.  Each partial partition's division is exact, because
+    z(partial) * p * m is the z of a partial partition, which divides n!;
+    acc[r] is a sum of such E's, so its division is exact too.  The
+    loop takes about n^2/4 steps and lists no partition.
+
+    Every completion of a partial partition leaving s is j twos and then
+    s - 2j ones, so after the loop each s gets its tail once, summed over j:
 
         term_j = acc[s] / (j! * 2^j * (s-2j)!) * ((2(s-2j)-1)!!)^k * G(s, j),
 
     where G(s, j) = prod_{l<j} (2(s-2l)-1)^k are the factors of the j
     twos (suffix sums s, s-2, ...).  Each term_j is an integer:
     z(partial) * 2^j * j! * (s-2j)! is the z of a whole partition and
-    divides n!, so every branch's E, hence acc[s], is a multiple of
-    j! * 2^j * (s-2j)!.  term_0 = acc[s] // s! * ((2s-1)!!)^k, with s!
-    and ((2s-1)!!)^k kept as running products over s, and each next term
-    is term_j = term_(j-1) * L(L-1) // (2j * (2L-3)^k), L = s - 2(j-1),
-    the units left before the j-th 2: a floor division whose quotient is
-    the integer term_j, so it is exact.
+    divides n!, so every partial partition's E, hence acc[s], is a
+    multiple of j! * 2^j * (s-2j)!.  term_0 = acc[s] // s! * ((2s-1)!!)^k,
+    with s! and ((2s-1)!!)^k kept as running products over s, and each
+    next term is term_j = term_(j-1) * L(L-1) // (2j * (2L-3)^k),
+    L = s - 2(j-1), the units left before the j-th 2: a floor division
+    whose quotient is the integer term_j, so it is exact.
     """
     # acc first: an n too large to allocate for fails here at once, not
     # after factorial(n)
     acc = [0] * (n + 1)
-
-    def rec(r, p, E):
-        while p > r:
-            p //= 2
-        if p <= 2:
-            # only 2s and 1s are left, or nothing (r = 0 leaves p = 0)
-            acc[r] += E
-            return
-        m = 0
-        while True:
-            if p == 4:
-                acc[r] += E  # only 2s and 1s may follow a 4
-            else:
-                rec(r, p // 2, E)
-            if r < p:
-                return
-            m += 1
-            E = E // (p * m) * (2 * r - 1) ** k
-            r -= p
-
-    rec(n, 1 << (n.bit_length() - 1), factorial(n))
+    acc[n] = factorial(n)
+    p = 1 << (n.bit_length() - 1)
+    while p >= 4:
+        # top upwards: parts placed on acc[top] land below top, on entries
+        # already read, so each entry is read before this size adds to it
+        for top in range(p, n + 1):
+            E, r, m = acc[top], top, 0
+            while E and r >= p:
+                m += 1
+                E = E // (p * m) * (2 * r - 1) ** k
+                r -= p
+                acc[r] += E
+        p //= 2
     total = 0
     fs = 1  # s!
     odd = 1  # ((2s-1)!!)^k
@@ -327,40 +322,39 @@ def tanglegram_count_mu(n):
     summand, or any sum of them, is an integer.
 
     Each mu is pi plus j twos, pi holding the parts >= 4 and leaving
-    L = n - |pi|.  The walk lists only pi, part sizes from the largest
-    power of 2 down to 4, and carries E(pi) = D * n(n-1)...(L+1) /
+    L = n - |pi|.  Each pi carries E(pi) = D * n(n-1)...(L+1) /
     (z(pi) * f(pi)^2), f being the product of the odd factors: D times
-    the summand of mu = pi, so an integer.  The c-th
-    part p placed with `left` still free multiplies E by
-    left(left-1)...(left-p+1) and divides it by p * c * o^2, where o is
-    the product of the odd numbers 2(left-p)+1 .. 2left-3; the quotient
-    is the E of the longer pi, so the division is exact.  Each leaf adds
-    its E into acc[L].  The twos then come in closed form: the j-th 2,
+    the summand of mu = pi, so an integer.  acc[L] holds the sum of E
+    over the pi of the part sizes done so far that leave L; sizes run
+    from the largest power of 2 down to 4, and size p keeps each such pi
+    and places c = 1, 2, ... parts p on it.  The c-th part p placed with
+    `left` still free multiplies E by left(left-1)...(left-p+1) and
+    divides it by p * c * o^2, where o is the product of the odd numbers
+    2(left-p)+1 .. 2left-3; for one pi the quotient is the E of the
+    longer pi, so the division is exact, and so it is for acc[left], a
+    sum of such E's.  The twos then come in closed form: the j-th 2,
     placed with `left` free, multiplies a summand by left(left-1) /
     (2j * (2left-3)^2), and the quotient is again D times a sum of
     summands, so this division is exact too.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    odd = prod(range(1, 2 * n - 2, 2))  # (2n-3)!!
+    # acc first, as in _power_sum: an n too large fails at once
     acc = [0] * (n + 1)  # acc[L]: sum of E(pi) over pi with |pi| = n - L
-
-    def walk(left, p, E):
-        while p > left:
-            p //= 2
-        if p < 4:
-            acc[left] += E
-            return
-        walk(left, p // 2, E)
-        c = 0
-        while left >= p:
-            c += 1
-            o = prod(range(2 * (left - p) + 1, 2 * left - 2, 2))
-            E = E * perm(left, p) // (p * c * o * o)
-            left -= p
-            walk(left, p // 2, E)
-
-    walk(n, 1 << (n.bit_length() - 1), factorial(n) * odd * odd)
+    odd = prod(range(1, 2 * n - 2, 2))  # (2n-3)!!
+    acc[n] = factorial(n) * odd * odd
+    p = 1 << (n.bit_length() - 1)
+    while p >= 4:
+        # as in _power_sum, upwards, so acc[top] is still its own when read
+        for top in range(p, n + 1):
+            E, left, c = acc[top], top, 0
+            while E and left >= p:
+                c += 1
+                o = prod(range(2 * (left - p) + 1, 2 * left - 2, 2))
+                E = E * perm(left, p) // (p * c * o * o)
+                left -= p
+                acc[left] += E
+        p //= 2
     total = 0  # D times the sum
     for left, term in enumerate(acc):
         j = 0

@@ -99,6 +99,7 @@ def test_overflowing_n_is_a_usage_error(capsys):
 
 @pytest.mark.parametrize("argv, flag", [
     (["count", "tanglegrams", "--n", str(10 ** 12), "--method", "direct"], "--n"),
+    (["count", "tanglegrams", "--n", str(10 ** 12), "--method", "mu"], "--n"),
     (["const", "f-quarter", "--precision", str(10 ** 12)], "--precision"),
     (["sample", "tree", "--n", str(10 ** 12), "--seed", "1", "--count", "1"], "--n"),
     (["sample", "tree", "--n", str(10 ** 22), "--seed", "1", "--count", "1"], "--n"),
@@ -110,12 +111,12 @@ def test_overflowing_n_is_a_usage_error(capsys):
     (["count", "chains", "--k", "3", "--n", str(10 ** 12)], "--n"),
     (["sample", "chain", "--k", "1", "--n", str(10 ** 22), "--seed", "1", "--count", "1"], "--n"),
     (["stats", "cherries", "--n", str(10 ** 22), "--samples", "1", "--seed", "1"], "--n"),
-], ids=["n", "precision", "tree-sample-1e12", "tree-sample-1e22",
+], ids=["n", "tanglegram-count-mu-1e12", "precision", "tree-sample-1e12", "tree-sample-1e22",
         "tree-oracle-1e12", "tree-oracle-1e22", "tanglegram-sample-1e12",
         "tanglegram-sample-1e22", "tanglegram-count-1e12", "chain-count-1e12",
         "chain-sample-1e22", "cherries-1e22"])
 def test_unallocatable_size_is_a_usage_error(argv, flag):
-    # 10^12 fits a machine integer, but the direct sum's table of n + 1
+    # 10^12 fits a machine integer, but the direct or mu sum's table of n + 1
     # entries, the tree-count table b_0..b_n, the level table's transform
     # list of n/2 + 1 entries, or a float of 10^12 bits does not fit in
     # memory, and 10^22 does not fit a machine integer;

@@ -63,8 +63,9 @@ def test_chain_example():
 
 
 def test_direct_sum_against_partition_listing():
-    # the folded walk against the formula summed over a listing, with
-    # n large enough that every remainder of 2s and 1s occurs
+    # the sum by part size and its folded 2s and 1s against the formula
+    # summed over a listing, with n large enough that every remainder of
+    # 2s and 1s occurs
     for k, top in ((1, 40), (2, 40), (3, 40), (4, 24), (5, 24), (6, 24)):
         for n in range(1, top + 1):
             want = sum(z_of(lam) ** (k - 1) * q_of(lam) ** k for lam in binary_partitions(n))
@@ -72,7 +73,7 @@ def test_direct_sum_against_partition_listing():
 
 
 def test_mu_sum_against_partition_listing():
-    # the walk over parts >= 4 and its folded 2s against the docstring's
+    # the loop over parts >= 4 and its folded 2s against the docstring's
     # formula summed over a listing of every mu = 2*nu, n large enough
     # that every remainder L, 0, 1 and 2 included, occurs
     for n in range(1, 41):
@@ -92,8 +93,8 @@ def test_mu_sum_against_partition_listing():
 
 
 def test_mu_walk_is_shallow():
-    # the walk recurses once per part size, about log2(n) frames, so
-    # n = 400 fits a recursion limit of 100 in the child
+    # the sum loops over part sizes and does not recurse, so n = 400
+    # fits a recursion limit of 100 in the child
     script = (
         "import sys\n"
         "from tanglekit.counting import tanglegram_count_mu\n"
@@ -109,8 +110,8 @@ def test_mu_walk_is_shallow():
 
 
 def test_direct_walk_is_shallow():
-    # the walk recurses once per part size above 4 and places the 4s in
-    # its own frame, so n = 400 fits a recursion limit of 100 in the child
+    # the sum loops over part sizes and does not recurse, so n = 400
+    # fits a recursion limit of 100 in the child
     script = (
         "import sys\n"
         "from tanglekit.counting import chain_count\n"
@@ -248,11 +249,20 @@ def test_three_routes_agree():
 
 
 def test_chain_recurrence_agrees():
-    # up to n = 64, so the direct walk places parts of 16, 32 and 64 and
-    # runs of 4s below an 8
+    # up to n = 64, so the direct sum places parts of 16, 32 and 64 and
+    # runs of 4s on sums that already hold 8s
     for k in (1, 2, 3, 4, 5, 6):
         for n in range(1, 65):
             assert chain_count_rec(k, n) == chain_count(k, n)
+
+
+def test_routes_agree_where_the_first_part_size_changes():
+    # the loop's first part size is the largest power of 2 <= n, so it
+    # changes between 127 and 128 and between 255 and 256
+    for n in (127, 128, 129, 255, 256, 257, 300):
+        for k in (1, 2, 3):
+            assert chain_count(k, n) == chain_count_rec(k, n), (k, n)
+        assert tanglegram_count_mu(n) == tanglegram_count_rec(n), n
 
 
 def test_catalan():
