@@ -231,11 +231,6 @@ def unordered_count(reps):
     return (len(reps) + fixed) // 2
 
 
-def brute_unordered_count(n):
-    """unordered_count of the tanglegram classes of size n."""
-    return unordered_count(brute_tanglegrams(n))
-
-
 def q_of(lam):
     """The weight q of a partition tuple as an exact Fraction."""
     return Fraction(q_numerator(lam), z_of(lam))

@@ -1,6 +1,5 @@
 import functools
 import itertools
-import math
 import os
 import random
 import subprocess
@@ -46,13 +45,6 @@ BAL4 = node(CHERRY, CHERRY)
 CAT4 = node(node(CHERRY, LEAF), LEAF)
 
 
-def band(draws, prob):
-    # five-sigma acceptance band around the expected count
-    mu = draws * prob
-    sigma = math.sqrt(draws * prob * (1 - prob))
-    return mu - 5 * sigma, mu + 5 * sigma
-
-
 # ---------------------------------------------------------------- alg 1
 
 def test_random_automorphism_membership():
@@ -64,22 +56,16 @@ def test_random_automorphism_membership():
                 assert random_automorphism(t, rng) in group
 
 
-def test_random_automorphism_uniform_cherry():
-    rng = random.Random(12)
-    draws = 4000
-    hits = sum(random_automorphism(CHERRY, rng) == (2, 1) for _ in range(draws))
-    lo, hi = band(draws, 0.5)
-    assert lo < hits < hi
+def test_random_automorphism_uniform_cherry(monkeypatch):
+    dist = _exact_distribution(lambda r: random_automorphism(CHERRY, r), monkeypatch)
+    assert dist == {(1, 2): Fraction(1, 2), (2, 1): Fraction(1, 2)}
 
 
-def test_random_automorphism_uniform_bal4():
-    rng = random.Random(13)
-    draws = 16000
-    counts = Counter(random_automorphism(BAL4, rng) for _ in range(draws))
-    assert len(counts) == 8 == aut_size(BAL4)
-    lo, hi = band(draws, 1 / 8)
-    for c in counts.values():
-        assert lo < c < hi
+def test_random_automorphism_uniform_bal4(monkeypatch):
+    dist = _exact_distribution(lambda r: random_automorphism(BAL4, r), monkeypatch)
+    assert set(dist) == set(automorphism_group(BAL4))
+    assert len(dist) == 8 == aut_size(BAL4)
+    assert set(dist.values()) == {Fraction(1, 8)}
 
 
 def test_random_automorphism_leaf():
@@ -179,18 +165,6 @@ def test_tree_and_perm_consistency():
                 assert w in set(automorphism_group(t))
 
 
-def test_tree_and_perm_identity_marginal_n4():
-    # conditioned on the all-ones type, trees appear with probability
-    # inversely proportional to their automorphism group size:
-    # caterpillar 4/5, balanced 1/5
-    rng = random.Random(24)
-    draws = 5000
-    hits = sum(
-        random_tree_and_perm((1, 1, 1, 1), rng)[0] == BAL4 for _ in range(draws))
-    lo, hi = band(draws, 1 / 5)
-    assert lo < hits < hi
-
-
 # ---------------------------------------------------------------- lam draw
 
 def _lam_walk(k, n):
@@ -288,73 +262,22 @@ def test_random_tanglegram_shape():
         assert sorted(tg.matching) == list(range(1, n + 1))
 
 
-def test_random_tanglegram_uniform_n3():
-    # two classes for three leaves, split evenly
-    rng = random.Random(33)
-    draws = 4000
-    counts = Counter(canonical_rep(random_tanglegram(3, rng)) for _ in range(draws))
-    assert len(counts) == 2
-    lo, hi = band(draws, 0.5)
-    for c in counts.values():
-        assert lo < c < hi
-
-
-def test_random_tanglegram_uniform_n4():
-    rng = random.Random(34)
-    draws = 13000
-    counts = Counter(canonical_rep(random_tanglegram(4, rng)) for _ in range(draws))
-    assert len(counts) == 13
-    lo, hi = band(draws, 1 / 13)
-    for c in counts.values():
-        assert lo < c < hi
-
-
 # ---------------------------------------------------------------- alg 4
 
 def test_random_tree_uniform():
+    # the law at n <= 8 is checked exactly by test_exact_uniform_trees
     rng = random.Random(41)
     with pytest.raises(ValueError):
         random_tree(0, rng)
     assert random_tree(3, rng) == parse("((..).)")
-    draws = 6000
-    counts = Counter(random_tree(6, rng) for _ in range(draws))
-    assert len(counts) == 6
-    lo, hi = band(draws, 1 / 6)
-    for c in counts.values():
-        assert lo < c < hi
 
 
 # ---------------------------------------------------------------- alg 5
 
-def test_random_chain_single_tree_matches_tree_sampler():
-    rng = random.Random(51)
-    draws = 4000
-    hits = 0
-    for _ in range(draws):
-        ch = random_chain(1, 4, rng)
-        assert ch.k == 1 and ch.matchings == ()
-        hits += ch.trees[0] == BAL4
-    lo, hi = band(draws, 0.5)
-    assert lo < hits < hi
-
-
-def test_random_chain_two_trees_matches_tanglegram():
-    # a chain of two trees carries the same classes as a tanglegram
-    rng = random.Random(52)
-    draws = 13000
-    counts = Counter()
-    for _ in range(draws):
-        ch = random_chain(2, 4, rng)
-        tg = Tanglegram(ch.trees[0], ch.trees[1], ch.matchings[0])
-        counts[canonical_rep(tg)] += 1
-    assert len(counts) == 13
-    lo, hi = band(draws, 1 / 13)
-    for c in counts.values():
-        assert lo < c < hi
-
-
 def test_random_chain_shape():
     rng = random.Random(53)
+    ch = random_chain(1, 4, rng)
+    assert ch.k == 1 and ch.matchings == ()
     ch = random_chain(4, 6, rng)
     assert ch.k == 4 and ch.n == 6
     assert len(ch.trees) == 4 and len(ch.matchings) == 3
@@ -380,7 +303,6 @@ def test_canonical_rep_idempotent_and_invariant():
 
 
 def test_canonical_rep_counts_classes_exhaustively():
-    import itertools
     reps = set()
     for left in enumerate_trees(4):
         for right in enumerate_trees(4):
@@ -497,11 +419,13 @@ def test_exact_uniform_trees(monkeypatch):
 
 
 def test_exact_uniform_chains(monkeypatch):
+    # k = 2 for n <= 4 and k = 3 for n <= 3
     rep = functools.cache(canonical_chain_rep)
-    for n in range(1, 4):
-        dist = _exact_distribution(lambda r: rep(random_chain(3, n, r)), monkeypatch)
-        assert len(dist) == chain_count(3, n)
-        assert set(dist.values()) == {Fraction(1, chain_count(3, n))}, n
+    for k, top in ((2, 4), (3, 3)):
+        for n in range(1, top + 1):
+            dist = _exact_distribution(lambda r: rep(random_chain(k, n, r)), monkeypatch)
+            assert len(dist) == chain_count(k, n)
+            assert set(dist.values()) == {Fraction(1, chain_count(k, n))}, (k, n)
 
 
 def test_exact_tree_and_perm_lemma(monkeypatch):
@@ -588,14 +512,18 @@ def test_cherry_statistics_rejects_bad_arguments():
             cherry_statistics(n, samples, random.Random(75))
 
 
-def test_cherry_statistics_n4():
-    rng = random.Random(72)
-    out = cherry_statistics(4, 6000, rng)
-    assert sum(out["histogram"].values()) == 6000
-    assert set(out["histogram"]) <= {1, 2}
-    exact = 17 / 13
-    assert abs(out["mean"] - exact) < 0.03
-    assert out["statistic"] == "cherries"
+def test_cherry_statistics_n4(monkeypatch):
+    # the left tree of a uniform tanglegram on four leaves has one cherry
+    # in 9 of the 13 classes and two in 4, so the mean is 17/13
+    def one_sample(r):
+        out = cherry_statistics(4, 1, r)
+        assert out["statistic"] == "cherries"
+        assert out["histogram"] == {out["mean"]: 1}
+        return out["mean"]
+
+    dist = _exact_distribution(one_sample, monkeypatch)
+    assert dist == {1.0: Fraction(9, 13), 2.0: Fraction(4, 13)}
+    assert sum(Fraction(m) * p for m, p in dist.items()) == Fraction(17, 13)
 
 
 def test_cherry_statistics_variance_rounded_once():
