@@ -31,6 +31,7 @@ import json
 import os
 import random
 import sys
+import warnings
 from functools import lru_cache
 
 from . import counting, oracle, sample, tree
@@ -242,7 +243,11 @@ def run(argv):
     except SystemExit as e:
         return 0 if e.code in (0, None) else int(e.code)
     try:
-        return _HANDLERS[args.cmd](args)
+        with warnings.catch_warnings():
+            # a warning prints as one plain line, as every other message does
+            warnings.showwarning = lambda message, *rest: print(
+                "warning: %s" % message, file=sys.stderr)
+            return _HANDLERS[args.cmd](args)
     except oracle.CapError as e:
         print("error: %s" % e, file=sys.stderr)
         return 3

@@ -6,8 +6,11 @@ tanglegrams, z^(k-1)*q^k for chains of length k, by a walk over the
 integer level-recurrence table of counting.py.  Each tree is then
 built together with an automorphism of cycle type lam by inserting the
 cycles of a fixed permutation of that type one by one, Remy-style, a
-loop whose output probability is exactly 1/(|A(T)|*q(lam)).  Finally matchings between
-neighboring trees are filled in by sampling a uniform conjugator.  A
+loop that gives the tree T together with an automorphism in a given
+A(T)-conjugacy class C of type lam probability exactly
+|C|/(|A(T)|*q(lam)).  Finally matchings between neighboring trees are
+filled in by sampling a uniform conjugator, and each class of
+tanglegrams or chains comes out with probability exactly 1/t(k, n).  A
 single tree needs no cycle type: random_tree draws it by the recursive
 method over the tree counts b_m, and random_chain(1, n) keeps the
 paper's route as an independent check of it.  Every draw is one
@@ -153,9 +156,24 @@ PERFBENCH_NAMES = (q_of, split_pairs, interleave)
 # is Remy's algorithm (RAIRO Inform. Theor. 19 (1985) 179-195).  Each
 # choice sequence gives a different labelled tree, and removing the
 # last cycle undoes its insertion, so every sigma-invariant tree comes
-# out with probability 1/(z*q).  Read out with a fair coin at every
-# vertex whose two subtrees coincide, the pair (T, w) then has
-# probability z * 1/(z*q) * 1/|A(T)| = 1/(|A(T)|*q(lam)).
+# out with probability 1/(z*q).
+#
+# The tree is read out with its children in node's order, and no coin
+# orders two equal subtrees, because a sampled class depends on each w
+# only up to conjugation by A(T).  A chain's class is the orbit of its
+# matchings under m_i -> t_i o m_i o t_(i+1)^-1, t_i in A(T_i), and
+# sample_conjugator(w_i, w_(i+1)) draws m_i uniformly from
+# {m : w_i o m = m o w_(i+1)}.  Replace w_i by a o w_i o a^-1, a in
+# A(T_i): then m_i -> a o m_i and m_(i-1) -> m_(i-1) o a^-1 are
+# bijections between the old and the new conjugator sets, and they keep
+# every class.  So a class's probability depends on each w_i only
+# through its A(T_i)-conjugacy class.  A fair coin at every vertex with
+# two equal subtrees would conjugate w by a uniform a in A(T), as the
+# flip patterns are exactly A(T), and would never change T; so it would
+# change no class law, no tree law and no stats law.  With the coin the
+# pair (T, w) would have probability z * 1/(z*q) * 1/|A(T)|, so without
+# it each A(T)-conjugacy class C of type lam is hit with probability
+# |C|/(|A(T)|*q(lam)).
 #
 # The 1-cycles come first, and while only 1-cycles are placed every
 # vertex is its own orbit, so the general insertion reduces to Remy's
@@ -164,13 +182,14 @@ PERFBENCH_NAMES = (q_of, split_pairs, interleave)
 # the identity on that prefix and the choices are the same draws.  Most
 # tanglegrams have lam = (1^n) (the share tends to e^(-1/8) = 0.88);
 # then sigma is the identity, so w, which is sigma read on the leaves
-# in DFS order, is the identity whatever the tree and the coins.  So
-# the coins are tossed only when lam has a part >= 2; without them each
-# (T, id) keeps its n!/|A(T)| labellings, 1/(|A(T)|*q(lam)) as z = n!.
+# in DFS order, is the identity whatever the tree, and neither the
+# children's order nor the leaf numbering is needed.
 
 def random_tree_and_perm(parts, rng):
-    """A pair (T, w) with w an automorphism of T of cycle type `parts`,
-    hit with probability exactly 1/(|A(T)| * q(parts)).
+    """A pair (T, w) with w an automorphism of T of cycle type `parts`:
+    the tree T together with a w in a given A(T)-conjugacy class C of
+    that type has probability exactly |C|/(|A(T)| * q(parts)).
+    It takes len(parts) - 1 draws, one randrange per inserted cycle.
 
     The tree is kept as flat lists over vertex ids 0..V-1: the two
     children (-1 at a leaf), the parent (-1 at the root) and sigma.  The
@@ -185,8 +204,8 @@ def random_tree_and_perm(parts, rng):
     is longer than c, and a new vertex p_t takes the place of
     sigma^t(v) with the children sigma^t(v) and (d, t).  T and w are
     then read off by loops, so depth is not limited: node gives T
-    bottom up, a coin orders each pair of equal subtrees, and a DFS
-    numbers the leaves, both only when some part is >= 2.
+    bottom up, each vertex takes its children in node's order, and a
+    DFS numbers the leaves, both only when some part is >= 2.
     """
     randrange = rng.randrange
     ones = parts.count(1)
@@ -251,11 +270,12 @@ def random_tree_and_perm(parts, rng):
         a = left[v]
         if a >= 0:
             b = right[v]
-            ta, tb = tree[a], tree[b]
-            t = tree[v] = node(ta, tb)
-            # read the children in node's order, or by a coin when equal;
-            # neither when every part is 1, as w is then the identity
-            if head and (randrange(2) if ta.key == tb.key else t.left is not ta):
+            ta = tree[a]
+            t = tree[v] = node(ta, tree[b])
+            # read the children in node's order, which keeps two equal
+            # ones as they are; not when every part is 1, as w is then
+            # the identity
+            if head and t.left is not ta:
                 left[v], right[v] = b, a
     if not head:
         return tree[root], tuple(range(1, ones + 1))

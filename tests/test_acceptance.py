@@ -9,7 +9,6 @@ is logged as a finding, never as a failure.
 import random
 import time
 import warnings
-from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -44,6 +43,8 @@ from tanglekit.sample import (
     random_tree,
 )
 from tanglekit.tree import LEAF, aut_size, cycle_type_table, node
+
+from replay import exact_distribution
 
 TANGLEGRAMS = [1, 1, 2, 13, 114, 1509, 25595, 535753, 13305590, 382728552]
 TREES = [1, 1, 1, 2, 3, 6, 11, 23, 46, 98]
@@ -164,24 +165,23 @@ def test_c07_polynomial_recursion():
     assert _report(7, "splitting recursion at 100 rational points per n <= 6", ok)
 
 
-def test_c08_sampler_uniformity():
+def test_c08_sampler_uniformity(monkeypatch):
+    # the exact law of the three samplers, each at the largest size its
+    # module test walks, by following every path of the choice tree
     t0 = time.monotonic()
-    rng = random.Random(2026)
-    tangle = Counter(
-        canonical_rep(random_tanglegram(4, rng)) for _ in range(26000))
-    rng = random.Random(2026)
-    trees = Counter(random_tree(6, rng) for _ in range(12000))
-    rng = random.Random(2026)
-    chains = Counter(
-        canonical_chain_rep(random_chain(3, 3, rng)) for _ in range(10000))
+    tangle = exact_distribution(
+        lambda r: canonical_rep(random_tanglegram(4, r)), monkeypatch)
+    trees = exact_distribution(lambda r: random_tree(8, r), monkeypatch)
+    chains = exact_distribution(
+        lambda r: canonical_chain_rep(random_chain(3, 3, r)), monkeypatch)
     el = time.monotonic() - t0
-    ok = (len(tangle) == 13
-          and all(1800 <= c <= 2200 for c in tangle.values())
-          and len(trees) == 6
-          and all(1800 <= c <= 2200 for c in trees.values())
-          and len(chains) == 5
-          and all(1800 <= c <= 2200 for c in chains.values()))
-    assert _report(8, "fixed-seed sampler class counts inside [1800, 2200]",
+    ok = (len(tangle) == tanglegram_count(4)
+          and set(tangle.values()) == {Fraction(1, tanglegram_count(4))}
+          and set(trees) == set(enumerate_trees(8))
+          and set(trees.values()) == {Fraction(1, tree_count(8))}
+          and len(chains) == chain_count(3, 3)
+          and set(chains.values()) == {Fraction(1, chain_count(3, 3))})
+    assert _report(8, "exact sampler laws: every class equally likely",
                    ok and el < 60.0, el)
 
 

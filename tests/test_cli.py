@@ -5,10 +5,12 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 import tanglekit
+from tanglekit import oracle
 from tanglekit.cli import print_count, run
 from tanglekit.tree import parse
 
@@ -203,7 +205,7 @@ def test_sample_deterministic(capsys):
 # A change to how any draw consumes the rng shows here, also under -O.
 PINNED_OUTPUT = {
     "sample tanglegram --n 120 --seed 5 --count 100":
-        "28d96e4434eb589fad2c29456170302d4dba5539f53f35bbfd831123d15b74fe",
+        "8805eda323e157c1781d35c9eb1801f1d401daee07b5a14ecff526cc05e7bf5c",
     "sample chain --k 3 --n 40 --seed 2 --count 30":
         "26145b766165aef574df0485173fba5399961791b078977ed5b15b94b4210292",
     "sample chain --k 5 --n 9 --seed 4 --count 80":
@@ -211,15 +213,18 @@ PINNED_OUTPUT = {
     "sample tree --n 60 --seed 3 --count 40":
         "d254800b4aeaa1e8bdcf2157250bc1cc28cefbb733373e3817cada4d565ced78",
     "stats cherries --n 200 --samples 50 --seed 1":
-        "44c381f4b99941eed2a73e89e283143310e718a4bac485bcc29ca96ecdd9a789",
+        "8fb7ae34fe8bb65db538c3b585935d19acf38b1a8696f618d921f3c36c565a6a",
     "sample tanglegram --n 40 --seed 6 --count 50 --format text":
-        "3e3b2ab833e8f54db1ad9d63e613de944f66992265e7c1991554c6b28a7fe289",
+        "a300fbed952caaed509585fcc71ec86434006935afe8e36099e868e65c0c0359",
     "sample tree --n 60 --seed 3 --count 40 --format text":
         "f8891bcaa2b4f4f787ae956bdd547c9dbe0b82abf07d56515bba14212b36ca76",
     "sample chain --k 3 --n 40 --seed 2 --count 30 --format text":
         "a4dc71e1b058369785c5d2d56c5dedba6bfc95cf6cb6509a8354a5ef3244822b",
     "sample chain --k 1 --n 30 --seed 8 --count 40 --format text":
-        "36e0312ee6dfb72d04ca183df3be5c6b427bbdae6ecc8efe34e54494b6bb7540",
+        "b995f8548bc3dadedb55059554a1ad1861936ff0912b82956fedaf15dfe80864",
+    # a chain with k >= 3 whose draws include lam != (1^n)
+    "sample chain --k 3 --n 6 --seed 2 --count 40 --format text":
+        "a7af920f2ce95c6917150b28367cdeacf7ef1c1a8c8cfd064530c1424658ded3",
 }
 
 
@@ -324,6 +329,17 @@ def test_oracle_output(capsys):
     for line in lines[1:]:
         d = json.loads(line)
         assert list(d) == ["n", "left", "right", "matching"]
+
+
+def test_slow_enumeration_warns_in_one_line(capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "BRUTE_CAP", 2)
+    showwarning = warnings.showwarning
+    assert run(["oracle", "tanglegrams", "--n", "3", "--allow-slow"]) == 0
+    out, err = capsys.readouterr()
+    assert out == "2\n"
+    assert err.splitlines() == ["warning: brute enumeration of 6 tuples of matchings runs for "
+                                "minutes"]
+    assert warnings.showwarning is showwarning
 
 
 def test_table_output(capsys):

@@ -40,6 +40,8 @@ from tanglekit.sample import (
 )
 from tanglekit.tree import LEAF, aut_size, node, parse
 
+from replay import exact_distribution
+
 CHERRY = node(LEAF, LEAF)
 BAL4 = node(CHERRY, CHERRY)
 CAT4 = node(node(CHERRY, LEAF), LEAF)
@@ -57,12 +59,12 @@ def test_random_automorphism_membership():
 
 
 def test_random_automorphism_uniform_cherry(monkeypatch):
-    dist = _exact_distribution(lambda r: random_automorphism(CHERRY, r), monkeypatch)
+    dist = exact_distribution(lambda r: random_automorphism(CHERRY, r), monkeypatch)
     assert dist == {(1, 2): Fraction(1, 2), (2, 1): Fraction(1, 2)}
 
 
 def test_random_automorphism_uniform_bal4(monkeypatch):
-    dist = _exact_distribution(lambda r: random_automorphism(BAL4, r), monkeypatch)
+    dist = exact_distribution(lambda r: random_automorphism(BAL4, r), monkeypatch)
     assert set(dist) == set(automorphism_group(BAL4))
     assert len(dist) == 8 == aut_size(BAL4)
     assert set(dist.values()) == {Fraction(1, 8)}
@@ -150,6 +152,24 @@ def test_pick_scan_exact():
             assert len(list(it)) == len(weights) - j - 1, (weights, x)
             hits[j] += 1
         assert hits == Counter({j: w for j, w in enumerate(weights) if w}), weights
+
+
+def test_tree_and_perm_draws_once_per_cycle():
+    # one randrange per cycle after the first, and no other draw
+    class Counted:
+        def __init__(self, seed):
+            self.rng = random.Random(seed)
+            self.calls = 0
+
+        def randrange(self, n):
+            self.calls += 1
+            return self.rng.randrange(n)
+
+    for n in range(1, 13):
+        for seed, lam in enumerate(binary_partitions(n)):
+            rng = Counted(seed)
+            random_tree_and_perm(lam, rng)
+            assert rng.calls == len(lam) - 1, lam
 
 
 def test_tree_and_perm_consistency():
@@ -265,7 +285,8 @@ def test_random_tanglegram_shape():
 # ---------------------------------------------------------------- alg 4
 
 def test_random_tree_uniform():
-    # the law at n <= 8 is checked exactly by test_exact_uniform_trees
+    # the law at n <= 8 is checked exactly by test_exact_uniform_trees and
+    # acceptance criterion 8
     rng = random.Random(41)
     with pytest.raises(ValueError):
         random_tree(0, rng)
@@ -332,112 +353,56 @@ def test_canonical_chain_rep_invariant():
 
 # ----------------------------------------------------- exact uniformity
 
-class _Replay:
-    """Stands in for the rng, and through it for sample._pick_scan:
-    each draw takes the branch that the path names, or the first
-    possible branch past the path's end.  A uniform draw records only
-    its number of branches, a weighted one its integer weights.
-    shuffle is Fisher-Yates on randrange."""
-
-    def __init__(self, path):
-        self.path = path
-        self.draws = []
-
-    def _branch(self, draw):
-        i = len(self.draws)
-        self.draws.append(draw)
-        if i == len(self.path):
-            self.path.append(0 if type(draw) is int else next(j for j, w in enumerate(draw) if w))
-        return self.path[i]
-
-    def pick_scan(self, weights, total):
-        weights = list(weights)
-        assert sum(weights) == total
-        return self._branch(weights)
-
-    def randrange(self, n):
-        return self._branch(n)
-
-    def shuffle(self, x):
-        for i in reversed(range(1, len(x))):
-            j = self.randrange(i + 1)
-            x[i], x[j] = x[j], x[i]
-
-
-def _exact_distribution(draw, monkeypatch):
-    """The exact output distribution of draw(rng): the sampler is re-run
-    once per path through its choice tree, and each output collects its
-    path's probability, one Fraction of the products of the branch
-    weights taken and of the branch totals."""
-    monkeypatch.setattr(sample, "_pick_scan",
-                        lambda weights, total, rng: rng.pick_scan(weights, total))
-    out = {}
-    path = []
-    while True:
-        rep = _Replay(path)
-        obj = draw(rep)
-        assert len(rep.draws) == len(path)
-        num = den = 1
-        for d, i in zip(rep.draws, path):
-            if type(d) is int:
-                den *= d
-            else:
-                num *= d[i]
-                den *= sum(d)
-        out[obj] = out.get(obj, 0) + Fraction(num, den)
-        # advance the deepest draw that has a further possible branch
-        while path:
-            d = rep.draws[len(path) - 1]
-            if type(d) is int:
-                nxt = path[-1] + 1 if path[-1] + 1 < d else None
-            else:
-                nxt = next((j for j in range(path[-1] + 1, len(d)) if d[j]), None)
-            if nxt is not None:
-                path[-1] = nxt
-                break
-            path.pop()
-        if not path:
-            return out
-
+# Acceptance criterion 8 walks the largest size of each sampler here:
+# tanglegrams at n = 4, random_tree at n = 8 and chains at k = 3, n = 3.
 
 def test_exact_uniform_tanglegrams(monkeypatch):
     rep = functools.cache(canonical_rep)
-    for n in range(1, 5):
-        dist = _exact_distribution(lambda r: rep(random_tanglegram(n, r)), monkeypatch)
+    for n in range(1, 4):
+        dist = exact_distribution(lambda r: rep(random_tanglegram(n, r)), monkeypatch)
         assert len(dist) == tanglegram_count(n)
         assert set(dist.values()) == {Fraction(1, tanglegram_count(n))}, n
 
 
 def test_exact_uniform_trees(monkeypatch):
-    # the recursive method over b_n and the paper's route at k = 1, both
-    # for n <= 8
-    for draw, top in ((random_tree, 8), (lambda n, r: random_chain(1, n, r).trees[0], 8)):
+    # the recursive method over b_n for n <= 7 and the paper's route at
+    # k = 1 for n <= 8
+    for draw, top in ((random_tree, 7), (lambda n, r: random_chain(1, n, r).trees[0], 8)):
         for n in range(1, top + 1):
-            dist = _exact_distribution(lambda r: draw(n, r), monkeypatch)
+            dist = exact_distribution(lambda r: draw(n, r), monkeypatch)
             assert set(dist) == set(enumerate_trees(n))
             assert set(dist.values()) == {Fraction(1, tree_count(n))}, n
 
 
 def test_exact_uniform_chains(monkeypatch):
-    # k = 2 for n <= 4 and k = 3 for n <= 3
+    # k = 2 for n <= 4 and k = 3 for n <= 2
     rep = functools.cache(canonical_chain_rep)
-    for k, top in ((2, 4), (3, 3)):
+    for k, top in ((2, 4), (3, 2)):
         for n in range(1, top + 1):
-            dist = _exact_distribution(lambda r: rep(random_chain(k, n, r)), monkeypatch)
+            dist = exact_distribution(lambda r: rep(random_chain(k, n, r)), monkeypatch)
             assert len(dist) == chain_count(k, n)
             assert set(dist.values()) == {Fraction(1, chain_count(k, n))}, (k, n)
 
 
 def test_exact_tree_and_perm_lemma(monkeypatch):
-    # every (T, w) with w in A(T) of cycle type lam is hit with
-    # probability exactly 1/(|A(T)| q(lam))
+    # each tree T and each A(T)-conjugacy class C of its automorphisms
+    # of cycle type lam is hit with probability exactly
+    # |C|/(|A(T)| q(lam)), the sum of 1/(|A(T)| q(lam)) over C
+    def conjugacy_class(t, w):
+        return t, min(compose(a, compose(w, inverse(a))) for a in automorphism_group(t))
+
     for n in range(1, 8):
         for lam in binary_partitions(n):
-            dist = _exact_distribution(lambda r: random_tree_and_perm(lam, r), monkeypatch)
-            assert set(dist) == {(t, w) for t in enumerate_trees(n)
-                                 for w in automorphism_group(t) if cycle_type(w) == lam}
-            for (t, _), p in dist.items():
-                assert p == 1 / (aut_size(t) * q_of(lam)), (lam, t)
+            want = Counter()
+            for t in enumerate_trees(n):
+                for w in automorphism_group(t):
+                    if cycle_type(w) == lam:
+                        want[conjugacy_class(t, w)] += 1 / (aut_size(t) * q_of(lam))
+            got = Counter()
+            dist = exact_distribution(lambda r: random_tree_and_perm(lam, r), monkeypatch)
+            for (t, w), p in dist.items():
+                got[conjugacy_class(t, w)] += p
+            assert got == want, lam
 
 
 def test_exact_uniform_conjugator(monkeypatch):
@@ -452,7 +417,7 @@ def test_exact_uniform_conjugator(monkeypatch):
                 conjugators.setdefault(compose(w, compose(v, inverse(w))), set()).add(w)
             z = z_of(cycle_type(v))
             for u, ws in conjugators.items():
-                dist = _exact_distribution(lambda r: sample_conjugator(u, v, r), monkeypatch)
+                dist = exact_distribution(lambda r: sample_conjugator(u, v, r), monkeypatch)
                 assert set(dist) == ws and len(ws) == z, (u, v)
                 assert set(dist.values()) == {Fraction(1, z)}, (u, v)
 
@@ -521,7 +486,7 @@ def test_cherry_statistics_n4(monkeypatch):
         assert out["histogram"] == {out["mean"]: 1}
         return out["mean"]
 
-    dist = _exact_distribution(one_sample, monkeypatch)
+    dist = exact_distribution(one_sample, monkeypatch)
     assert dist == {1.0: Fraction(9, 13), 2.0: Fraction(4, 13)}
     assert sum(Fraction(m) * p for m, p in dist.items()) == Fraction(17, 13)
 
@@ -571,9 +536,10 @@ def test_same_seed_same_stream():
 
 def _reference_random_tree_and_perm(parts, rng):
     """random_tree_and_perm before the 1-cycles had a step of their
-    own: every cycle goes through the orbit loop, the coin asks
-    Tree.__eq__, and the leaf-numbering DFS always runs.  It draws as
-    random_tree_and_perm does, so no coin when lam = (1^n)."""
+    own: every cycle goes through the orbit loop, the children's order
+    asks Tree.__eq__, and the leaf-numbering DFS always runs.  It draws
+    as random_tree_and_perm does, one randrange per cycle after the
+    first."""
     if not parts:
         raise ValueError("empty partition")
     left, right, parent, sigma = [], [], [], []
@@ -619,13 +585,8 @@ def _reference_random_tree_and_perm(parts, rng):
         a, b = left[v], right[v]
         if a >= 0:
             t = tree[v] = node(tree[a], tree[b])
-            # read the children in node's order, or by a coin when equal;
-            # no coin when lam = (1^n), as sigma and w are the identity
-            if t.left == t.right:
-                swap = max(parts) > 1 and rng.randrange(2)
-            else:
-                swap = t.left is not tree[a]
-            if swap:
+            # read the children in node's order
+            if t.left != tree[a]:
                 left[v], right[v] = b, a
     pos = [0] * len(sigma)
     leaves = []
