@@ -8,11 +8,13 @@ tangled chains (a tanglegram is the two-tree chain) by expanding whole
 orbits out of all tuples of matchings, and the weights q, r_S and the
 generator sums toward f(1/4) in Fractions.  The point is independence:
 none of this shares code paths with the counting formulas or the
-samplers it validates, and only the CLI and the package's __init__
-import it.  Every cap lives here, and past one CapError is raised:
-trees are listed up to 20 leaves, brute automorphism groups stop at 8,
-and an enumeration expands at most 7! tuples of matchings per tuple of
-trees, or 8!, which takes minutes, behind an explicit flag.
+samplers it validates (it imports neither counting.py nor sample.py,
+and takes the chain values from tree.py), and only the CLI and the
+package's __init__ import it.  Every cap lives here, and past one
+CapError is raised: trees are listed up to 20 leaves, brute
+automorphism groups stop at 8, and an enumeration expands at most 7!
+tuples of matchings per tuple of trees, or 8!, which takes minutes,
+behind an explicit flag.
 
 The canonical class representatives (canonical_rep and
 canonical_chain_rep), which the sampler tests bin draws by, use the
@@ -29,8 +31,7 @@ from math import factorial
 
 from .partition import q_numerator, z_of
 from .perm import compose, flip, inverse
-from .sample import Tanglegram, TangledChain
-from .tree import LEAF, node, symmetry_count
+from .tree import LEAF, Tanglegram, TangledChain, node, symmetry_count
 
 ENUMERATION_CAP = 20  # leaves of a listed tree
 BRUTE_CAP = factorial(7)  # tuples of matchings per tuple of trees

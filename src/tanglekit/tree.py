@@ -13,6 +13,10 @@ place that puts children in canonical order.
 Leaves are implicitly numbered 1..n by depth-first traversal that visits
 the left (greater or equal) subtree first; all permutation work in
 perm.py and sample.py uses that labeling.
+
+The other values live here too: TangledChain, k trees tied by
+matchings, and Tanglegram, its two-tree case.  So oracle.py, which
+lists them, need not import sample.py, which draws them.
 """
 
 
@@ -43,6 +47,83 @@ class Tree:
 
     def to_text(self):
         return self.key
+
+
+class TangledChain:
+    """k trees in a row with a matching between each neighboring pair:
+    leaf i of trees[j] is tied to leaf matchings[j](i) of trees[j+1],
+    leaves numbered by DFS.  Two chains are equal when their trees and
+    matchings are, whatever their class, so a Tanglegram equals the
+    two-tree TangledChain with the same trees and matching."""
+
+    __slots__ = ("trees", "matchings")
+
+    def __init__(self, trees, matchings):
+        trees = tuple(trees)
+        matchings = tuple(tuple(m) for m in matchings)
+        if not trees:
+            raise ValueError("need at least one tree")
+        n = trees[0].leaves
+        if any(t.leaves != n for t in trees) or len(matchings) != len(trees) - 1:
+            raise ValueError("leaf counts and matching count must agree")
+        if any(sorted(m) != list(range(1, n + 1)) for m in matchings):
+            raise ValueError("every matching must be a permutation of 1..n")
+        self.trees = trees
+        self.matchings = matchings
+
+    @property
+    def n(self):
+        return self.trees[0].leaves
+
+    @property
+    def k(self):
+        return len(self.trees)
+
+    def __eq__(self, other):
+        return (isinstance(other, TangledChain)
+                and self.trees == other.trees
+                and self.matchings == other.matchings)
+
+    def __hash__(self):
+        return hash((self.trees, self.matchings))
+
+    def __repr__(self):
+        return "TangledChain(%r, %r)" % ([t.key for t in self.trees],
+                                         [list(m) for m in self.matchings])
+
+    def to_json(self):
+        return {"n": self.n, "trees": [t.key for t in self.trees],
+                "matchings": [list(m) for m in self.matchings]}
+
+    def to_text(self):
+        text = " ".join(t.key for t in self.trees)
+        if self.matchings:
+            text += " | " + " ".join(",".join(map(str, m)) for m in self.matchings)
+        return text
+
+
+class Tanglegram(TangledChain):
+    """The two-tree chain: leaf i of the left tree is tied to leaf
+    matching(i) of the right tree."""
+
+    __slots__ = ()
+
+    def __init__(self, left, right, matching):
+        super().__init__((left, right), (matching,))
+
+    left = property(lambda self: self.trees[0])
+    right = property(lambda self: self.trees[1])
+    matching = property(lambda self: self.matchings[0])
+
+    def __repr__(self):
+        return "Tanglegram(%s, %s, %r)" % (self.left.key, self.right.key, list(self.matching))
+
+    def to_json(self):
+        return {"n": self.n, "left": self.left.key, "right": self.right.key,
+                "matching": list(self.matching)}
+
+    def to_text(self):
+        return "%s %s %s" % (self.left.key, self.right.key, ",".join(map(str, self.matching)))
 
 
 LEAF = Tree(None, None, 1, ".")

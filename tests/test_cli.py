@@ -9,10 +9,11 @@ import warnings
 
 import pytest
 
-import tanglekit
 from tanglekit import oracle
 from tanglekit.cli import print_count, run
 from tanglekit.tree import parse
+
+from support import child_env, run_python
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -131,10 +132,7 @@ def test_unallocatable_size_is_a_usage_error(argv, flag):
         "from tanglekit.cli import run\n"
         "sys.exit(run(sys.argv[1:]))\n"
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(tanglekit.__file__)))
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-c", script] + argv, env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = run_python(script, *argv)
     assert proc.returncode == 2 and proc.stdout == "", proc.stderr
     assert proc.stderr.startswith("usage error: ") and proc.stderr.count("\n") == 1, proc.stderr
     assert flag in proc.stderr
@@ -238,12 +236,11 @@ def test_closed_pipe_is_quiet():
     # a reader that stops after the first line gets no traceback.  The
     # 2 MB of trees overrun any pipe buffer, so that command must meet the
     # closed pipe and exit 1; the 10 kB oracle listing may fit whole
-    src = os.path.dirname(os.path.dirname(os.path.abspath(tanglekit.__file__)))
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     for argv, codes in (("oracle tanglegrams --n 5 --list", (0, 1)),
                         ("sample tree --n 30 --seed 1 --count 20000", (1,))):
-        with subprocess.Popen([sys.executable, "-m", "tanglekit.cli"] + argv.split(), env=env,
-                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        with subprocess.Popen([sys.executable, "-m", "tanglekit.cli"] + argv.split(),
+                              env=child_env(), stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE) as proc:
             assert proc.stdout.readline()
             proc.stdout.close()
             err = proc.stderr.read()

@@ -1,13 +1,8 @@
-import os
-import random
-import subprocess
-import sys
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
-import tanglekit
 from tanglekit.counting import (
     _level_table,
     _power_sum,
@@ -19,41 +14,15 @@ from tanglekit.counting import (
     tanglegram_count,
     tanglegram_count_mu,
     tanglegram_count_rec,
-    tree_count,
     tree_count_oracle,
 )
 from tanglekit.oracle import enumerate_trees, q_of, r_poly
 from tanglekit.partition import binary_partitions, z_of
 from tanglekit.tree import LEAF, node
 
-T_SEQ = [1, 1, 2, 13, 114, 1509, 25595, 535753, 13305590, 382728552]
+from support import caterpillar, run_python
+
 B_SEQ = [1, 1, 1, 2, 3, 6, 11, 23, 46, 98, 207, 451]
-T3_SEQ = [1, 1, 5, 151, 9944, 1196991, 226435150, 61992679960,
-          23198439767669, 11380100883484302]
-T42 = 33889136420378480492869677415186948305278176263020722832251621520063757
-
-
-def caterpillar(n):
-    t = LEAF
-    for _ in range(n - 1):
-        t = node(t, LEAF)
-    return t
-
-
-def test_sequences():
-    assert [tanglegram_count(n) for n in range(1, 11)] == T_SEQ
-    assert [tree_count(n) for n in range(1, 13)] == B_SEQ
-    assert [chain_count(3, n) for n in range(1, 11)] == T3_SEQ
-
-
-def test_t42():
-    assert tanglegram_count(42) == T42
-
-
-def test_chain_specializations():
-    for n in range(1, 31):
-        assert chain_count(1, n) == tree_count(n)
-        assert chain_count(2, n) == tanglegram_count(n)
 
 
 def test_chain_example():
@@ -92,39 +61,23 @@ def test_mu_sum_against_partition_listing():
         assert tanglegram_count_mu(n) == c * c * factorial(n) * total / 4 ** (n - 1), n
 
 
-def test_mu_walk_is_shallow():
-    # the sum loops over part sizes and does not recurse, so n = 400
-    # fits a recursion limit of 100 in the child
-    script = (
+@pytest.mark.parametrize("limit, call, want", [
+    (100, "tanglegram_count_mu(400)", [(2, 400)]),
+    (100, "chain_count(2, 400), chain_count(6, 300)", [(2, 400), (6, 300)]),
+    (200, "tree_count_oracle(400)", [(1, 400)]),
+], ids=["mu", "direct", "tree-oracle"])
+def test_route_is_a_loop(limit, call, want):
+    # no route recurses: the direct and mu sums loop over part sizes and
+    # the tree oracle over its table, so n = 400 runs under a recursion
+    # limit of 100 or 200 in the child, below the 400 frames a recursive
+    # recurrence would need; the level table checks each value at (k, n)
+    proc = run_python(
         "import sys\n"
-        "from tanglekit.counting import tanglegram_count_mu\n"
-        "sys.setrecursionlimit(100)\n"
-        "print(tanglegram_count_mu(400))\n"
-    )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(tanglekit.__file__)))
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=60)
+        "from tanglekit.counting import chain_count, tanglegram_count_mu, tree_count_oracle\n"
+        "sys.setrecursionlimit(%d)\n"
+        "print(%s)\n" % (limit, call))
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) == tanglegram_count_rec(400)
-
-
-def test_direct_walk_is_shallow():
-    # the sum loops over part sizes and does not recurse, so n = 400
-    # fits a recursion limit of 100 in the child
-    script = (
-        "import sys\n"
-        "from tanglekit.counting import chain_count\n"
-        "sys.setrecursionlimit(100)\n"
-        "print(chain_count(2, 400), chain_count(6, 300))\n"
-    )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(tanglekit.__file__)))
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert [int(v) for v in proc.stdout.split()] == [chain_count_rec(2, 400),
-                                                     chain_count_rec(6, 300)]
+    assert [int(v) for v in proc.stdout.split()] == [chain_count_rec(k, n) for k, n in want]
 
 
 def test_counting_rejects_bad_args():
@@ -141,25 +94,6 @@ def test_tree_oracle():
     assert tree_count_oracle(2) == 1
     assert tree_count_oracle(6) == 6
     assert [tree_count_oracle(n) for n in range(1, 13)] == B_SEQ
-    for n in range(1, 61):
-        assert tree_count_oracle(n) == tree_count(n)
-
-
-def test_tree_oracle_is_a_loop():
-    # a recursive recurrence would need 400 frames, over a recursion
-    # limit of 200 in the child; the level table checks the value
-    script = (
-        "import sys\n"
-        "from tanglekit.counting import tree_count_oracle\n"
-        "sys.setrecursionlimit(200)\n"
-        "print(tree_count_oracle(400))\n"
-    )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(tanglekit.__file__)))
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) == chain_count_rec(1, 400)
 
 
 def test_recurrence_internals():
@@ -241,21 +175,6 @@ def test_level_transform_against_its_terms():
             assert table[(0, n0)] == _power_sum(n0, k), (k, n0)
 
 
-def test_three_routes_agree():
-    for n in range(1, 61):
-        direct = tanglegram_count(n)
-        assert tanglegram_count_rec(n) == direct
-        assert tanglegram_count_mu(n) == direct
-
-
-def test_chain_recurrence_agrees():
-    # up to n = 64, so the direct sum places parts of 16, 32 and 64 and
-    # runs of 4s on sums that already hold 8s
-    for k in (1, 2, 3, 4, 5, 6):
-        for n in range(1, 65):
-            assert chain_count_rec(k, n) == chain_count(k, n)
-
-
 def test_routes_agree_where_the_first_part_size_changes():
     # the loop's first part size is the largest power of 2 <= n, so it
     # changes between 127 and 128 and between 255 and 256
@@ -267,12 +186,6 @@ def test_routes_agree_where_the_first_part_size_changes():
 
 def test_catalan():
     assert [catalan(n) for n in range(10)] == [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]
-
-
-def test_double_coset_one_cherry():
-    for n in range(4, 11):
-        t = caterpillar(n)
-        assert double_coset_count(t, t) == (n * n - n + 2) * factorial(n - 2) // 4
 
 
 def test_double_coset_n3():
@@ -313,24 +226,3 @@ def test_r_poly_examples():
         assert val == expected
     with pytest.raises(ValueError):
         r_poly([], [Fraction(1)])
-
-
-def rand_fraction(rng):
-    return Fraction(rng.randrange(-60, 61), rng.randrange(1, 30))
-
-
-@pytest.mark.parametrize("n", range(1, 7))
-def test_r_poly_recursion(n):
-    # r_[n](x) = 2^(n-1) r_[n](x/2) + sum over proper subsets S
-    # containing 1 of r_S(x) * r_([n] minus S)(x)
-    rng = random.Random(500 + n)
-    full = list(range(1, n + 1))
-    for _ in range(25):
-        x = [rand_fraction(rng) for _ in range(n)]
-        lhs = r_poly(full, x)
-        rhs = 2 ** (n - 1) * r_poly(full, [v / 2 for v in x])
-        for mask in range(2 ** (n - 1) - 1):
-            s = [1] + [i + 2 for i in range(n - 1) if mask >> i & 1]
-            comp = [i for i in full if i not in s]
-            rhs += r_poly(s, x) * r_poly(comp, x)
-        assert lhs == rhs

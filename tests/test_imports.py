@@ -2,17 +2,16 @@
 every module-level private name is used somewhere in the package, only
 asym.py and oracle.py import rational arithmetic, only asym.py imports
 mpmath and only the commands that print floats load it, brute force and
-its caps stay in oracle.py, which only cli.py and __init__.py import,
-each module imports alone, and the counting routes stay independent of
-one another."""
+its caps stay in oracle.py, which only cli.py and __init__.py import and
+which imports neither the samplers nor the counting routes, each module
+imports alone, and the counting routes stay independent of one another."""
 
 import ast
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import tanglekit
+
+from support import run_python
 
 SRC = Path(tanglekit.__file__).parent
 
@@ -123,6 +122,8 @@ def test_brute_force_stays_in_oracle():
     # no formula or sampler can come to depend on brute force, and every
     # cap, with the error raised past one, is defined next to it
     assert importers("oracle") == {"__init__.py", "cli.py"}
+    # and the oracle reads nothing of what it checks
+    assert not imported_names((SRC / "oracle.py").read_text()) & {"sample", "counting"}
     defined = {}
     for path in SRC.glob("*.py"):
         for stmt in ast.parse(path.read_text()).body:
@@ -152,8 +153,7 @@ def test_each_module_imports_alone():
     modules = sorted(path.stem for path in SRC.glob("*.py") if path.name != "__init__.py")
     assert "oracle" in modules and "cli" in modules
     for module in modules:
-        proc = subprocess.run([sys.executable, "-c", script, str(SRC), module],
-                              capture_output=True, text=True, timeout=60)
+        proc = run_python(script, str(SRC), module)
         assert proc.returncode == 0, (module, proc.stderr)
 
 
@@ -168,10 +168,7 @@ def test_cli_loads_mpmath_only_for_floats():
         "assert cli.run(['const', 'f-quarter', '--precision', '64']) == 0\n"
         "assert 'mpmath' in sys.modules\n"
     )
-    src = str(SRC.parent)
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = run_python(script)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -1,9 +1,6 @@
 import functools
 import itertools
-import os
 import random
-import subprocess
-import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -19,7 +16,7 @@ from tanglekit.counting import (
     tree_count,
 )
 from tanglekit.partition import binary_partitions, z_of
-from tanglekit.perm import compose, cycle_type, cycles_of, identity, inverse, sample_conjugator
+from tanglekit.perm import compose, cycle_type, cycles_of, inverse, sample_conjugator
 from tanglekit.oracle import (
     AUT_CAP,
     automorphism_group,
@@ -41,6 +38,7 @@ from tanglekit.sample import (
 from tanglekit.tree import LEAF, aut_size, node, parse
 
 from replay import exact_distribution
+from support import run_python
 
 CHERRY = node(LEAF, LEAF)
 BAL4 = node(CHERRY, CHERRY)
@@ -109,10 +107,7 @@ def _in_child_at_depth_limit(body):
         "for _ in range(399):\n"
         "    cat = node(cat, LEAF)\n"
     ) + body
-    src = os.path.dirname(os.path.dirname(os.path.abspath(sample.__file__)))
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = run_python(script)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -1,17 +1,12 @@
 import gc
-import os
 import random
-import subprocess
-import sys
 import tracemalloc
-from fractions import Fraction
 from math import factorial
 
 import pytest
 
-import tanglekit
 from tanglekit.counting import double_coset_count
-from tanglekit.oracle import enumerate_trees, q_of
+from tanglekit.oracle import enumerate_trees
 from tanglekit.partition import binary_partitions
 from tanglekit.sample import random_automorphism
 from tanglekit.tree import (
@@ -25,18 +20,12 @@ from tanglekit.tree import (
     symmetry_count,
 )
 
+from support import caterpillar, run_python
+
 B_SEQ = [1, 1, 1, 2, 3, 6, 11, 23, 46, 98, 207, 451]
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(tanglekit.__file__)))
 
 CHERRY = node(LEAF, LEAF)
 BAL4 = node(CHERRY, CHERRY)
-
-
-def caterpillar(n):
-    t = LEAF
-    for _ in range(n - 1):
-        t = node(t, LEAF)
-    return t
 
 
 def balanced(depth):
@@ -114,9 +103,7 @@ def test_parse_checks_survive_optimize():
         "        continue\n"
         "    raise SystemExit('accepted %r' % bad)\n"
     )
-    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = run_python(script, flags=("-O",))
     assert proc.returncode == 0, proc.stderr
 
 
@@ -188,17 +175,6 @@ def test_cycle_type_table_sums_and_keys():
             assert set(table) <= lams
             assert all(v > 0 for v in table.values())
             assert table[(1,) * n] == 1  # only the identity fixes all leaves
-
-
-def test_type_sum_identity():
-    # sum over trees of |A(T)_lam| / |A(T)| equals q(lam)
-    for n in range(1, 10):
-        trees = enumerate_trees(n)
-        for lam in binary_partitions(n):
-            total = Fraction(0)
-            for t in trees:
-                total += Fraction(cycle_type_table(t).get(lam, 0), aut_size(t))
-            assert total == q_of(lam), (n, lam)
 
 
 def test_cherries():
