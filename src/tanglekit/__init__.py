@@ -3,10 +3,12 @@ inequivalent binary rooted trees, and tangled chains.
 
 The package is organized around sums over binary partitions: partition
 holds the partitions and their weights, counting the exact formulas and
-recurrences, sample the uniform generators, asym the floating-point
+recurrences, sample the uniform generators, which draw every object
+by the paper's route through one level table, asym the floating-point
 approximations, oracle the brute-force cross-checks (the tree listing
-enumerate_trees, every cap, and the exact Fraction references the tests
-compare against), and cli the command-line front end.
+enumerate_trees, the classical tree count tree_count_oracle, every cap,
+and the exact Fraction references the tests compare against), and cli
+the command-line front end.
 """
 
 from .counting import (
@@ -17,9 +19,8 @@ from .counting import (
     tanglegram_count_mu,
     tanglegram_count_rec,
     tree_count,
-    tree_count_oracle,
 )
-from .oracle import enumerate_trees
+from .oracle import enumerate_trees, tree_count_oracle
 from .sample import (
     Tanglegram,
     TangledChain,

@@ -46,8 +46,8 @@ def _positive(s):
 
 # Count routes per object, the default first: the level recurrence,
 # since it scales to n in the thousands; the others stay as
-# cross-checks.  The lambdas look counting.* up at call time, so
-# wrappers put on the module's functions see every call.
+# cross-checks.  The lambdas look each route up on its module at call
+# time, so wrappers put on the module's functions see every call.
 _COUNT_ROUTES = {
     "tanglegrams": {
         "recurrence": lambda a: counting.tanglegram_count_rec(a.n),
@@ -57,7 +57,7 @@ _COUNT_ROUTES = {
     "trees": {
         "recurrence": lambda a: counting.chain_count_rec(1, a.n),
         "direct": lambda a: counting.tree_count(a.n),
-        "oracle": lambda a: counting.tree_count_oracle(a.n),
+        "oracle": lambda a: oracle.tree_count_oracle(a.n),
     },
     "chains": {
         "recurrence": lambda a: counting.chain_count_rec(a.k, a.n),

@@ -17,6 +17,9 @@ one integer per number of units left, and the 2s and 1s that complete
 them are folded in closed form, one tail of small-ratio steps per
 number of units left.  The mu sum loops over its own parts of size 4
 and up and folds its 2s the same way, in code of its own.
+
+The samplers walk the recurrence's table, the one table here, for
+every object; the classical tree recurrence lives in oracle.py.
 """
 
 from functools import lru_cache
@@ -121,40 +124,6 @@ def tree_count(n):
     return chain_count(1, n)
 
 
-def tree_terms(b, m):
-    """Yield the integer weights of the ways to join a tree of size m >= 2,
-    read from the tree counts b_1 .. b_(m-1) in b; by B(x) = x + (B(x)^2 +
-    B(x^2))/2 they sum to 2*b_m.  In order: 2*b_i*b_(m-i) for two trees of
-    sizes i < m - i, i = 1 .. ceil(m/2) - 1; then for even m, b_(m/2)^2
-    for two trees of size m/2 and b_(m/2) for one tree of size m/2 doubled."""
-    for i in range(1, (m + 1) // 2):
-        yield 2 * b[i] * b[m - i]
-    if m % 2 == 0:
-        half = b[m // 2]
-        yield half * half
-        yield half
-
-
-@lru_cache(maxsize=4)
-def tree_count_table(n):
-    """(b_0, ..., b_n), n >= 1, each b_m half the sum of tree_terms(b, m),
-    by a plain loop, so any n stays within the recursion limit.  The last
-    few tables are kept: a batch of samples at one size builds one.  The
-    table is allocated before the loop, so an n too large for this
-    machine raises OverflowError or MemoryError at once."""
-    b = [0, 1] + [0] * (n - 1)
-    for m in range(2, n + 1):
-        b[m] = sum(tree_terms(b, m)) // 2
-    return tuple(b)
-
-
-def tree_count_oracle(n):
-    """b_n read from tree_count_table(n), the classical recurrence."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return tree_count_table(n)[n]
-
-
 def double_coset_count(T, S):
     """Number of tanglegrams with left tree T and right tree S:
     (sum_lam |A(T)_lam| * |A(S)_lam| * z(lam)) / (|A(T)| * |A(S)|)."""
@@ -195,14 +164,14 @@ def double_coset_count(T, S):
 #
 # So every entry is the sum of its terms, and chain_count_rec divides
 # R(0, n0) once, by n0! * (2n0-1)^k.  Along one state,
-# P * C(n, 2*rho) * (2*rho-1)!! is carried as one integer, from m = n
-# down: from m to m - 2 it gains m(m-1) and loses, by exact division,
-# 2 * rho for the new rho and the two factors of P that drop out.
+# P * C(n, 2*rho) * (2*rho-1)!! is carried as one integer, out from the
+# first m of level_m: from m to m - 2 it gains m(m-1) and loses, by
+# exact division, 2 * rho for the new rho and the two factors of P that
+# drop out, and from m to m + 2 the other way round.
 #
-# level_terms writes that sum out, largest m first; the table sums it
-# at the one top state, and builds the levels h >= 1 without its
-# big-by-big products.  Fix such a level, let N = n0 // 2^h be its
-# largest n, and put
+# level_terms writes that sum out; the table sums it at the one top
+# state, and builds the levels h >= 1 without its big-by-big products.
+# Fix such a level, let N = n0 // 2^h be its largest n, and put
 #
 #   f(u) = (2*(n0 - u*2^h) - 1)^k,   S(i) = f(i) * f(i+1) * ... * f(N-1),
 #
@@ -254,32 +223,50 @@ def _level_table(k, n0):
     return table
 
 
-@lru_cache(maxsize=4)
-def _top_carry(k, n0):
-    """P(0, n0) = ((2n0 - 1)!!)^k, the first weight of the top state."""
-    return prod(range(1, 2 * n0, 2)) ** k
+def level_m(k, n0, h, n, j):
+    """The j-th number m of parts, j = 0 .. n // 2, that level_terms
+    weighs at the state (h, n) of the (k, n0) recurrence: from an m0 near
+    the mode outward, one step up and one down in turn while both sides
+    last.  m0 = n for k >= 2; for k = 1 the mode moves from 0.63 * n at
+    the top state toward n as the level empties, and m0 follows it.  Any
+    fixed order keeps a draw exact; this one lets it read few weights."""
+    m0 = n - 2 * (37 * n * (n << h) // (200 * n0)) if k == 1 and n else n
+    both = min(m0, n - m0) // 2  # steps taken on each side in turn
+    if j <= 2 * both:
+        return m0 + j + 1 if j % 2 else m0 - j
+    return m0 - 2 * (j - both) if m0 > n - m0 else m0 + 2 * (j - both)
+
+
+@lru_cache(maxsize=64)
+def _carry(k, n0, h, n, m):
+    """P(h, m) * C(n, m) * (n - m - 1)!! at the state (h, n).  The last
+    64 are kept: every lambda draw starts from the top state's."""
+    step = 1 << h
+    s = n0 - n * step
+    return (prod(range(2 * (s + step) - 1, 2 * (s + m * step), 2 * step)) ** k
+            * comb(n, m) * prod(range(1, n - m, 2)))
 
 
 def level_terms(k, n0, h, n, table):
     """Yield the integer weight of each admissible number m of parts of
-    size 2^h at the state (h, n) of the (k, n0) recurrence, largest m
-    first: m = n, n - 2, ..., n % 2, each one term of the step above.
-    The entries of the next level down are read from table, which must
-    hold them; the weights sum to R(h, n) = _level_table(k, n0)[(h, n)]."""
+    size 2^h at the state (h, n) of the (k, n0) recurrence, the j-th for
+    m = level_m(k, n0, h, n, j), each one term of the step above.  The
+    entries of the next level down are read from table, which must hold
+    them; the weights sum to R(h, n) = _level_table(k, n0)[(h, n)]."""
     step = 1 << h
-    s = n0 - n * step
-    # P(h, n); the top state's, which every lambda draw reads, is kept
-    carry = _top_carry(k, n0) if n == n0 else prod(
-        range(2 * (s + step) - 1, 2 * (s + n * step), 2 * step)) ** k
-    m, rho = n, 0
-    while True:
-        yield (carry << h * rho) * (table[(h + 1, rho)] if rho else 1)
-        if m < 2:
-            return
-        rho += 1
-        shrink = ((2 * (s + (m - 1) * step) - 1) * (2 * (s + m * step) - 1)) ** k
-        carry = carry * (m * (m - 1)) // (2 * rho * shrink)
-        m -= 2
+    a = 2 * (n0 - n * step) - 1  # the u-th factor of P(h, m) is (a + 2*u*2^h)^k
+    m0 = level_m(k, n0, h, n, 0)
+    hi = lo = _carry(k, n0, h, n, m0)
+    for j in range(n // 2 + 1):
+        m = level_m(k, n0, h, n, j)
+        rho = (n - m) // 2
+        if m > m0:  # from m - 2: the factors m - 1 and m join P
+            f = (a + 2 * (m - 1) * step) * (a + 2 * m * step)
+            hi = hi * (2 * rho + 2) * f ** k // (m * (m - 1))
+        elif m < m0:  # from m + 2: the factors m + 1 and m + 2 leave P
+            f = (a + 2 * (m + 1) * step) * (a + 2 * (m + 2) * step)
+            lo = lo * ((m + 2) * (m + 1)) // (2 * rho * f ** k)
+        yield ((hi if m > m0 else lo) << h * rho) * (table[(h + 1, rho)] if rho else 1)
 
 
 @lru_cache(maxsize=4)
@@ -345,13 +332,17 @@ def tanglegram_count_mu(n):
     acc[n] = factorial(n) * odd * odd
     p = 1 << (n.bit_length() - 1)
     while p >= 4:
+        factors = {}  # left -> (perm(left, p), p * o^2), made once per size
         # as in _power_sum, upwards, so acc[top] is still its own when read
         for top in range(p, n + 1):
             E, left, c = acc[top], top, 0
             while E and left >= p:
                 c += 1
-                o = prod(range(2 * (left - p) + 1, 2 * left - 2, 2))
-                E = E * perm(left, p) // (p * c * o * o)
+                if left not in factors:
+                    o = prod(range(2 * (left - p) + 1, 2 * left - 2, 2))
+                    factors[left] = perm(left, p), p * o * o
+                num, den = factors[left]
+                E = E * num // (c * den)
                 left -= p
                 acc[left] += E
         p //= 2

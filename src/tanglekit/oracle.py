@@ -2,19 +2,21 @@
 
 Everything here recomputes, from first principles and in the dumbest
 safe way, quantities the rest of the package obtains from formulas:
-the trees of a size by listing every join, automorphism groups by
-checking every leaf permutation against the edge set, classes of
-tangled chains (a tanglegram is the two-tree chain) by expanding whole
-orbits out of all tuples of matchings, and the weights q, r_S and the
-generator sums toward f(1/4) in Fractions.  The point is independence:
-none of this shares code paths with the counting formulas or the
-samplers it validates (it imports neither counting.py nor sample.py,
-and takes the chain values from tree.py), and only the CLI and the
-package's __init__ import it.  Every cap lives here, and past one
-CapError is raised: trees are listed up to 20 leaves, brute
-automorphism groups stop at 8, and an enumeration expands at most 7!
-tuples of matchings per tuple of trees, or 8!, which takes minutes,
-behind an explicit flag.
+the trees of a size by listing every join, their number b_n by the
+classical recurrence (which `count trees --method oracle` prints),
+automorphism groups by checking every leaf permutation against the
+edge set, classes of tangled chains (a tanglegram is the two-tree
+chain) by expanding whole orbits out of all tuples of matchings, and
+the weights q, r_S and the generator sums toward f(1/4) in Fractions.
+The point is independence: none of this shares code paths with the
+counting formulas or the samplers it validates (it imports neither
+counting.py nor sample.py, and takes the chain values from tree.py),
+and only the CLI and the package's __init__ import it.  Every cap lives
+here, and past one CapError is raised: trees are listed up to 20
+leaves, brute automorphism groups stop at 8, and an enumeration expands
+at most 7! tuples of matchings per tuple of trees, or 8!, which takes
+minutes, behind an explicit flag.  b_n needs no cap: its recurrence
+takes about n^2/4 bigint products.
 
 The canonical class representatives (canonical_rep and
 canonical_chain_rep), which the sampler tests bin draws by, use the
@@ -61,6 +63,23 @@ def _all_trees(n):
                 for b in lefts[i:]:
                     out.append(node(a, b))
     return tuple(out)
+
+
+def tree_count_oracle(n):
+    """b_n, the number of inequivalent binary trees with n leaves, by the
+    classical recurrence B(x) = x + (B(x)^2 + B(x^2))/2: a tree of size
+    m >= 2 joins two trees of sizes i < m - i, or, for even m, two trees
+    of size m/2, equal or not.  A plain loop over b_1 .. b_n, so any n
+    stays within the recursion limit, with no cap: it takes about n^2/4
+    bigint products.  The list is allocated before the loop, so an n too
+    large for this machine raises OverflowError or MemoryError at once."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    b = [0, 1] + [0] * (n - 1)
+    for m in range(2, n + 1):
+        half = b[m // 2] if m % 2 == 0 else 0
+        b[m] = sum(b[i] * b[m - i] for i in range(1, (m + 1) // 2)) + half * (half + 1) // 2
+    return b[n]
 
 
 def enumerate_trees(n):

@@ -1,28 +1,26 @@
 """Uniform random generation of tanglegrams, trees, and tangled chains.
 
-Tanglegrams and chains follow the paper's route.  A binary partition
-lam of n is drawn with probability proportional to z*q^2 for
-tanglegrams, z^(k-1)*q^k for chains of length k, by a walk over the
-integer level-recurrence table of counting.py.  Each tree is then
-built together with an automorphism of cycle type lam by inserting the
-cycles of a fixed permutation of that type one by one, Remy-style, a
-loop that gives the tree T together with an automorphism in a given
+Every object follows the paper's route.  A binary partition lam of n is
+drawn with probability proportional to z^(k-1)*q^k for chains of
+length k, trees (k = 1) and tanglegrams (k = 2) included, by a walk
+over the integer level-recurrence table of counting.py.  Each tree is
+then built together with an automorphism of cycle type lam by inserting
+the cycles of a fixed permutation of that type one by one, Remy-style,
+a loop that gives the tree T together with an automorphism in a given
 A(T)-conjugacy class C of type lam probability exactly
 |C|/(|A(T)|*q(lam)).  Finally matchings between neighboring trees are
-filled in by sampling a uniform conjugator, and each class of
-tanglegrams or chains comes out with probability exactly 1/t(k, n).  A
-single tree needs no cycle type: random_tree draws it by the recursive
-method over the tree counts b_m, and random_chain(1, n) keeps the
-paper's route as an independent check of it.  Every draw is one
-rng.randrange, over an integer total where the options are weighted,
-so there is no floating-point bias anywhere.
+filled in by sampling a uniform conjugator, and each class comes out
+with probability exactly 1/t(k, n).  A lone tree has no matching, so
+its automorphism is never read off.  Every draw is one rng.randrange,
+over an integer total where the options are weighted, so there is no
+floating-point bias anywhere.
 
 Identical seeds give identical samples.  The rng argument everywhere is
 an owned random.Random-like object with randrange and shuffle.  The
 chain and tanglegram values returned are defined in tree.py.
 """
 
-from .counting import _level_table, level_terms, tree_count_table, tree_terms
+from .counting import _level_table, level_m, level_terms
 from .partition import q_numerator, split_pairs, z_of
 from .perm import interleave, sample_conjugator
 from .tree import LEAF, Tanglegram, TangledChain, count_occurrences, fold, node, symmetry_count
@@ -50,7 +48,7 @@ def _pick_scan(weights, total, rng):
     that sums to total: option j with probability weights[j] / total,
     by one randrange(total), which is exact.  The weights are read in
     order, and only up to the option drawn.  This is the sampler's one
-    weighted draw: the lam walk and random_tree both take it."""
+    weighted draw, and the lam walk its one caller."""
     x = rng.randrange(total)
     for j, w in enumerate(weights):
         x -= w
@@ -109,11 +107,10 @@ PERFBENCH_NAMES = (q_of, split_pairs, interleave)
 # in DFS order, is the identity whatever the tree, and neither the
 # children's order nor the leaf numbering is needed.
 
-def random_tree_and_perm(parts, rng):
-    """A pair (T, w) with w an automorphism of T of cycle type `parts`:
-    the tree T together with a w in a given A(T)-conjugacy class C of
-    that type has probability exactly |C|/(|A(T)| * q(parts)).
-    It takes len(parts) - 1 draws, one randrange per inserted cycle.
+def _grow(parts, rng):
+    """(T, (tree, left, right, sigma, root)): random_tree_and_perm's T, by
+    all of its draws, and the flat lists its w is read from, tree[v] the
+    Tree below v.  parts is unchecked: a lambda as _draw_lam gives it.
 
     The tree is kept as flat lists over vertex ids 0..V-1: the two
     children (-1 at a leaf), the parent (-1 at the root) and sigma.  The
@@ -126,32 +123,29 @@ def random_tree_and_perm(parts, rng):
     one draws a vertex v of the tree so far; the sigma-orbit of v has a
     size d that divides c, as every part is a power of 2 and none placed
     is longer than c, and a new vertex p_t takes the place of
-    sigma^t(v) with the children sigma^t(v) and (d, t).  T and w are
-    then read off by loops, so depth is not limited: node gives T
-    bottom up, each vertex takes its children in node's order, and a
-    DFS numbers the leaves, both only when some part is >= 2.
+    sigma^t(v) with the children sigma^t(v) and (d, t).  node then gives
+    T bottom up, by a loop, so depth is not limited.
     """
     randrange = rng.randrange
     ones = parts.count(1)
     head = parts[:len(parts) - ones]
-    if not parts or any(c < 2 or c & (c - 1) or c < d for c, d in zip(head, head[1:] + head[-1:])):
-        raise ValueError("parts must be weakly decreasing powers of 2, got %r" % (parts,))
     size = 2 * ones - 1 if ones else 0
     left, right, parent = [-1] * size, [-1] * size, [-1] * size
     root = 0
     for leaf in range(1, size, 2):
         v = randrange(leaf)
         p = parent[v]
+        u = leaf + 1  # the new vertex above v
         if p < 0:
-            root = leaf + 1
+            root = u
         elif left[p] == v:
-            left[p] = leaf + 1
+            left[p] = u
         else:
-            right[p] = leaf + 1
-        left[leaf + 1] = v
-        right[leaf + 1] = leaf
-        parent[leaf + 1] = p
-        parent[v] = parent[leaf] = leaf + 1
+            right[p] = u
+        left[u] = v
+        right[u] = leaf
+        parent[u] = p
+        parent[v] = parent[leaf] = u
     sigma = list(range(size))
     for c in reversed(head):
         orbit = []
@@ -187,45 +181,58 @@ def random_tree_and_perm(parts, rng):
     # ancestors come before descendants in this breadth-first order
     order = [root]
     for v in order:
-        if left[v] >= 0:
-            order += (left[v], right[v])
+        a = left[v]
+        if a >= 0:
+            order += (a, right[v])
     tree = [LEAF] * len(sigma)
     for v in reversed(order):
         a = left[v]
         if a >= 0:
-            b = right[v]
-            ta = tree[a]
-            t = tree[v] = node(ta, tree[b])
-            # read the children in node's order, which keeps two equal
-            # ones as they are; not when every part is 1, as w is then
-            # the identity
-            if head and t.left is not ta:
-                left[v], right[v] = b, a
+            tree[v] = node(tree[a], tree[right[v]])
+    return tree[root], (tree, left, right, sigma, root)
+
+
+def random_tree_and_perm(parts, rng):
+    """A pair (T, w) with w an automorphism of T of cycle type `parts`:
+    the tree T together with a w in a given A(T)-conjugacy class C of
+    that type has probability exactly |C|/(|A(T)| * q(parts)).
+    It takes len(parts) - 1 draws, one randrange per inserted cycle.
+
+    w is sigma read on T's leaves, numbered by a DFS loop that takes
+    each vertex's children in node's order.
+    """
+    head = parts[:len(parts) - parts.count(1)]
+    if not parts or any(c < 2 or c & (c - 1) or c < d for c, d in zip(head, head[1:] + head[-1:])):
+        raise ValueError("parts must be weakly decreasing powers of 2, got %r" % (parts,))
+    t, (tree, left, right, sigma, root) = _grow(parts, rng)
     if not head:
-        return tree[root], tuple(range(1, ones + 1))
+        return t, tuple(range(1, len(parts) + 1))
     pos = [0] * len(sigma)
     leaves = []
     stack = [root]
     while stack:
         v = stack.pop()
-        if left[v] < 0:
+        a = left[v]
+        if a < 0:
             leaves.append(v)
             pos[v] = len(leaves)
+        elif tree[v].left is tree[a]:
+            stack += (right[v], a)
         else:
-            stack += (right[v], left[v])
-    return tree[root], tuple(pos[sigma[v]] for v in leaves)
+            stack += (a, right[v])
+    return t, tuple(pos[sigma[v]] for v in leaves)
 
 
 # The draw of lam walks the level recurrence of counting.py top down,
 # the recursive method of Nijenhuis and Wilf.  At the state (h, n') of
 # the (k, n) table, n' units of size 2^h are left to place; the walk
-# takes m = n' - 2j parts of size 2^h with the j-th integer weight that
-# level_terms yields, by _pick_scan over their total, the table entry
+# takes the j-th number m of parts that level_m gives with the j-th
+# weight that level_terms yields, by _pick_scan over their total
 # R(h, n').  At n' = 1 the one option m = 1 takes no draw.  The step
-# probabilities multiply to z(lam)^(k-1) * q(lam)^k / t(k, n) for the
-# partition built.  The weights are made as the scan reads them, largest
-# m first, and none is kept: at the top state m = n, lam = (1^n), carries
-# about 88% of the tanglegram mass, so most draws read one weight there.
+# probabilities multiply to z(lam)^(k-1) * q(lam)^k / t(k, n).  The
+# weights are made as the scan reads them, from near the mode, and none
+# is kept: at k = 2 lam = (1^n) carries about 88% of the mass, so most
+# draws read one weight; at k = 1, n = 1000 a draw reads about 27.
 
 def _draw_lam(n, k, rng):
     """A binary partition of n drawn with probability
@@ -236,8 +243,8 @@ def _draw_lam(n, k, rng):
     while units:
         m = 1
         if units > 1:
-            weights = level_terms(k, n, h, units, table)
-            m = units - 2 * _pick_scan(weights, table[(h, units)], rng)
+            j = _pick_scan(level_terms(k, n, h, units, table), table[(h, units)], rng)
+            m = level_m(k, n, h, units, j)
         parts += [1 << h] * m
         units = (units - m) // 2
         h += 1
@@ -251,6 +258,8 @@ def _draw_chain(k, n, rng):
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
     lam = _draw_lam(n, k, rng)
+    if k == 1:
+        return [_grow(lam, rng)[0]], []
     pairs = [random_tree_and_perm(lam, rng) for _ in range(k)]
     matchings = [sample_conjugator(pairs[i][1], pairs[i + 1][1], rng)
                  for i in range(k - 1)]
@@ -268,62 +277,22 @@ def random_tanglegram(n, rng):
     return Tanglegram(left, right, matching)
 
 
-# A uniform tree of size m >= 2 joins a tree of size i to one of size
-# m - i; option i = 1, 2, ... has the i-th weight of counting.tree_terms,
-# out of 2*b_m, the last one for even m doubling one tree of size m/2.
-# Every tree of size m then has probability 1/b_m: with subtrees of
-# sizes i < m - i it is one pair, drawn with probability 2/(2*b_m); with
-# two distinct halves it is either of two ordered pairs, and with two
-# equal halves T it is the pair (T, T) or T doubled, each of them drawn
-# with probability 1/(2*b_m).  This is the recursive method of
-# Nijenhuis and Wilf; scanning from the small side, as _pick_scan does,
-# costs O(n log n) expected (Flajolet, Zimmermann and Van Cutsem 1994).
-
-_JOIN = object()
-_DOUBLE = object()
-
-
 def random_tree(n, rng):
-    """Uniform over the inequivalent binary trees with n leaves.
-
-    The subtrees are built by a loop over an explicit stack, in the
-    order a recursion would take: the smaller subtree's draws first."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    b = tree_count_table(n)
-    todo = [n]
-    done = []
-    while todo:
-        m = todo.pop()
-        if m is _JOIN:
-            t2 = done.pop()
-            done.append(node(done.pop(), t2))
-        elif m is _DOUBLE:
-            t1 = done.pop()
-            done.append(node(t1, t1))
-        elif m == 1:
-            done.append(LEAF)
-        else:
-            # b_m = 1 at m = 2, 3: one tree, so no draw, as the lam walk
-            # takes none for one option
-            i = 1 if b[m] == 1 else _pick_scan(tree_terms(b, m), 2 * b[m], rng) + 1
-            if i > m // 2:
-                todo += (_DOUBLE, m // 2)
-            else:
-                todo += (_JOIN, m - i, i)
-    return done[0]
+    """Uniform over the inequivalent binary trees with n leaves: the one
+    tree of random_chain(1, n, rng), by the same draws."""
+    return _draw_chain(1, n, rng)[0][0]
 
 
 def cherry_statistics(n, samples, rng, pattern=None):
     """Sample statistics of the left tree of uniform tanglegrams.
 
-    Only lam (drawn as for tanglegrams) and the left tree are drawn:
-    given lam the trees and the conjugator are independent, so the left
-    tree has the same law as in a whole tanglegram.  With no pattern,
-    counts cherries (the pattern (..)); with a pattern tree, counts
-    occurrences of that shape.  The reference value is the conjectured
-    limit mean n/2^(l+k-1) for a pattern with l leaves and k
-    symmetries, which is n/4 for a cherry.
+    Only lam (drawn as for tanglegrams) and the left tree are drawn, and
+    no w is read off: given lam the trees and the conjugator are
+    independent, so the left tree has the same law as in a whole
+    tanglegram.  With no pattern, counts cherries (the pattern (..));
+    with a pattern tree, counts occurrences of that shape.  The
+    reference value is the conjectured limit mean n/2^(l+k-1) for a
+    pattern with l leaves and k symmetries, which is n/4 for a cherry.
     """
     if n < 1 or samples < 1:
         raise ValueError("need n >= 1 and samples >= 1")
@@ -337,7 +306,7 @@ def cherry_statistics(n, samples, rng, pattern=None):
     total = 0
     total_sq = 0
     for _ in range(samples):
-        left, _ = random_tree_and_perm(_draw_lam(n, 2, rng), rng)
+        left, _ = _grow(_draw_lam(n, 2, rng), rng)
         v = count_occurrences(pattern, left)
         hist[v] = hist.get(v, 0) + 1
         total += v

@@ -23,7 +23,6 @@ from tanglekit.counting import (
     tanglegram_count_mu,
     tanglegram_count_rec,
     tree_count,
-    tree_count_oracle,
 )
 from tanglekit.oracle import (
     brute_pair_classes,
@@ -33,6 +32,7 @@ from tanglekit.oracle import (
     enumerate_trees,
     q_of,
     r_poly,
+    tree_count_oracle,
     unordered_count,
 )
 from tanglekit.partition import binary_partitions

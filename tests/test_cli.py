@@ -209,17 +209,17 @@ PINNED_OUTPUT = {
     "sample chain --k 5 --n 9 --seed 4 --count 80":
         "19388a1212564eabf036db98551c388126add9b4ac52a440c0fcc48d48a6ca31",
     "sample tree --n 60 --seed 3 --count 40":
-        "d254800b4aeaa1e8bdcf2157250bc1cc28cefbb733373e3817cada4d565ced78",
+        "d18684c7a247ace6e81779220b61920fbfd54f53a1aacbcf0c6559721147ba82",
     "stats cherries --n 200 --samples 50 --seed 1":
         "8fb7ae34fe8bb65db538c3b585935d19acf38b1a8696f618d921f3c36c565a6a",
     "sample tanglegram --n 40 --seed 6 --count 50 --format text":
         "a300fbed952caaed509585fcc71ec86434006935afe8e36099e868e65c0c0359",
     "sample tree --n 60 --seed 3 --count 40 --format text":
-        "f8891bcaa2b4f4f787ae956bdd547c9dbe0b82abf07d56515bba14212b36ca76",
+        "eaf3176874ebe63f344e9863321db04c4074fe58cb76453563a2e2643c0fc3f3",
     "sample chain --k 3 --n 40 --seed 2 --count 30 --format text":
         "a4dc71e1b058369785c5d2d56c5dedba6bfc95cf6cb6509a8354a5ef3244822b",
     "sample chain --k 1 --n 30 --seed 8 --count 40 --format text":
-        "b995f8548bc3dadedb55059554a1ad1861936ff0912b82956fedaf15dfe80864",
+        "6dbf215813e23b51b654c0ceb3a0675b714aeb8945b00418fed57867ca9facc5",
     # a chain with k >= 3 whose draws include lam != (1^n)
     "sample chain --k 3 --n 6 --seed 2 --count 40 --format text":
         "a7af920f2ce95c6917150b28367cdeacf7ef1c1a8c8cfd064530c1424658ded3",

@@ -14,9 +14,8 @@ from tanglekit.counting import (
     tanglegram_count,
     tanglegram_count_mu,
     tanglegram_count_rec,
-    tree_count_oracle,
 )
-from tanglekit.oracle import enumerate_trees, q_of, r_poly
+from tanglekit.oracle import enumerate_trees, q_of, r_poly, tree_count_oracle
 from tanglekit.partition import binary_partitions, z_of
 from tanglekit.tree import LEAF, node
 
@@ -73,7 +72,8 @@ def test_route_is_a_loop(limit, call, want):
     # recurrence would need; the level table checks each value at (k, n)
     proc = run_python(
         "import sys\n"
-        "from tanglekit.counting import chain_count, tanglegram_count_mu, tree_count_oracle\n"
+        "from tanglekit.counting import chain_count, tanglegram_count_mu\n"
+        "from tanglekit.oracle import tree_count_oracle\n"
         "sys.setrecursionlimit(%d)\n"
         "print(%s)\n" % (limit, call))
     assert proc.returncode == 0, proc.stderr

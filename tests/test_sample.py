@@ -11,6 +11,7 @@ from tanglekit.counting import (
     _level_table,
     chain_count,
     chain_count_rec,
+    level_m,
     level_terms,
     tanglegram_count,
     tree_count,
@@ -121,10 +122,13 @@ def test_tree_and_perm_is_a_loop():
 
 
 def test_random_tree_is_a_loop():
-    # Zero takes the smallest subtree at every vertex
+    # Zero takes each state's first m and puts every cycle above the
+    # first leaf, so the tree is 322 vertices deep
     _in_child_at_depth_limit(
+        "from itertools import accumulate\n"
         "t = sample.random_tree(400, Zero())\n"
-        "assert t.leaves == 400 and t == cat, t.key\n")
+        "depth = max(accumulate({'(': 1, ')': -1, '.': 0}[c] for c in t.key))\n"
+        "assert t.leaves == 400 and depth > 200, depth\n")
 
 
 def test_pick_scan_exact():
@@ -197,7 +201,7 @@ def _lam_walk(k, n):
         total = table[(h, units)]
         assert total == sum(weights)
         for j, w in enumerate(weights):
-            m = units - 2 * j
+            m = level_m(k, n, h, units, j)
             rec(h + 1, (units - m) // 2, parts + [1 << h] * m, p * Fraction(w, total))
 
     rec(0, n, [], Fraction(1))
@@ -288,6 +292,13 @@ def test_random_tree_uniform():
     assert random_tree(3, rng) == parse("((..).)")
 
 
+def test_random_tree_is_the_one_tree_chain():
+    # one route: a tree is the tree of a chain of length 1, by the same draws
+    for n, seed in ((1, 0), (2, 1), (7, 2), (60, 3), (129, 4), (200, 5)):
+        chain = random_chain(1, n, random.Random(seed))
+        assert random_tree(n, random.Random(seed)) == chain.trees[0], (n, seed)
+
+
 # ---------------------------------------------------------------- alg 5
 
 def test_random_chain_shape():
@@ -360,13 +371,10 @@ def test_exact_uniform_tanglegrams(monkeypatch):
 
 
 def test_exact_uniform_trees(monkeypatch):
-    # the recursive method over b_n for n <= 7 and the paper's route at
-    # k = 1 for n <= 8
-    for draw, top in ((random_tree, 7), (lambda n, r: random_chain(1, n, r).trees[0], 8)):
-        for n in range(1, top + 1):
-            dist = exact_distribution(lambda r: draw(n, r), monkeypatch)
-            assert set(dist) == set(enumerate_trees(n))
-            assert set(dist.values()) == {Fraction(1, tree_count(n))}, n
+    for n in range(1, 8):
+        dist = exact_distribution(lambda r: random_tree(n, r), monkeypatch)
+        assert set(dist) == set(enumerate_trees(n))
+        assert set(dist.values()) == {Fraction(1, tree_count(n))}, n
 
 
 def test_exact_uniform_chains(monkeypatch):
