@@ -11,7 +11,7 @@ Subcommands:
     asym  --n N --terms T --family a|b [--precision BITS]
     const f-quarter [--precision BITS]
     stats cherries --n N --samples M --seed S
-    stats pattern --pattern "((..).)" --n N --samples M --seed S
+    stats pattern --pattern TREE --n N --samples M --seed S
     oracle tanglegrams --n N [--list] [--allow-slow]
     oracle tanglegrams --n N --unordered [--allow-slow]
     table paper
@@ -20,28 +20,37 @@ Counts print as full decimal integers.  Samples print one object per
 line; JSON keys are emitted in a fixed order, and a fixed seed gives
 byte-identical output across runs.  The first method listed is the
 default, and sampled chains have three trees unless --k says otherwise.
-Each form takes only the flags shown on its line; any other flag is a
-usage error.  Exit codes: 0 success, 1 output cut short because the
-reader closed stdout (nothing is printed on stderr), 2 usage error or
-rejected argument, 3 cap exceeded.
+Each form takes only the flags on its line, each at most once, as
+`--flag value`; a value may start with "-", as in `--seed -3`.  -h or
+--help prints the lines above.  Exit codes: 0 success, 1 output cut
+short because the reader closed stdout (nothing is printed on stderr),
+2 usage error or rejected argument (one line on stderr), 3 cap exceeded.
 """
 
-import argparse
 import json
 import os
 import random
 import sys
 import warnings
-from functools import lru_cache
+from types import SimpleNamespace
 
 from . import counting, oracle, sample, tree
 
 
-def _positive(s):
-    v = int(s)
-    if v < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return v
+def _value(says, convert, ok):
+    """A flag's converter: `convert`, checked by `ok`; `says` names what passes."""
+    def checked(s):
+        try:
+            v = convert(s)
+            if ok(v):
+                return v
+        except ValueError:
+            pass
+        raise ValueError("must be %s, not %r" % (says, s))
+    return checked
+
+
+_positive = _value("a positive integer", int, lambda v: v >= 1)
 
 
 # Count routes per object, the default first: the level recurrence,
@@ -64,69 +73,6 @@ _COUNT_ROUTES = {
         "direct": lambda a: counting.chain_count(a.k, a.n),
     },
 }
-
-
-@lru_cache(maxsize=1)
-def _build_parser():
-    """The argument parser, built once per process: a warm run of a
-    memoized count costs less than building its sub-parsers."""
-    ap = argparse.ArgumentParser(prog="tanglekit")
-    sub = ap.add_subparsers(dest="cmd", required=True)
-
-    # count, sample and stats take one sub-parser per form, so each
-    # form accepts only its own flags.
-    p = sub.add_parser("count", help="exact counts")
-    forms = p.add_subparsers(dest="what", required=True)
-    for what, routes in _COUNT_ROUTES.items():
-        p = forms.add_parser(what)
-        if what == "chains":
-            p.add_argument("--k", type=_positive, required=True)
-        p.add_argument("--n", type=_positive, required=True)
-        p.add_argument("--method", choices=list(routes), default=next(iter(routes)))
-
-    sample_flags = argparse.ArgumentParser(add_help=False)
-    sample_flags.add_argument("--n", type=_positive, required=True)
-    sample_flags.add_argument("--seed", type=int, required=True)
-    sample_flags.add_argument("--count", type=_positive, required=True)
-    sample_flags.add_argument("--format", default="json", choices=["json", "text"])
-    p = sub.add_parser("sample", help="uniform random objects")
-    forms = p.add_subparsers(dest="what", required=True)
-    forms.add_parser("tanglegram", parents=[sample_flags])
-    forms.add_parser("tree", parents=[sample_flags])
-    forms.add_parser("chain", parents=[sample_flags]).add_argument(
-        "--k", type=_positive, default=3)
-
-    p = sub.add_parser("asym", help="asymptotic approximations of the tanglegram count")
-    p.add_argument("--n", type=_positive, required=True)
-    p.add_argument("--terms", type=int, required=True, choices=range(0, 7))
-    p.add_argument("--family", required=True, choices=["a", "b"])
-    p.add_argument("--precision", type=_positive, default=200)
-
-    p = sub.add_parser("const", help="constants")
-    p.add_argument("name", choices=["f-quarter"])
-    p.add_argument("--precision", type=_positive, default=200)
-
-    stats_flags = argparse.ArgumentParser(add_help=False)
-    stats_flags.add_argument("--n", type=_positive, required=True)
-    stats_flags.add_argument("--samples", type=_positive, required=True)
-    stats_flags.add_argument("--seed", type=int, required=True)
-    p = sub.add_parser("stats", help="sampled statistics of random tanglegrams")
-    forms = p.add_subparsers(dest="what", required=True)
-    forms.add_parser("cherries", parents=[stats_flags]).set_defaults(pattern=None)
-    forms.add_parser("pattern", parents=[stats_flags]).add_argument(
-        "--pattern", type=tree.parse, required=True, metavar="TREE")
-
-    p = sub.add_parser("oracle", help="brute-force enumeration")
-    p.add_argument("what", choices=["tanglegrams"])
-    p.add_argument("--n", type=_positive, required=True)
-    p.add_argument("--unordered", action="store_true")
-    p.add_argument("--list", action="store_true", dest="list_classes")
-    p.add_argument("--allow-slow", action="store_true")
-
-    p = sub.add_parser("table", help="reference tables")
-    p.add_argument("which", choices=["paper"])
-
-    return ap
 
 
 def print_count(value):
@@ -184,16 +130,17 @@ def _cmd_const(args):
 
 def _cmd_stats(args):
     rng = random.Random(args.seed)
-    print(json.dumps(sample.cherry_statistics(args.n, args.samples, rng, pattern=args.pattern)))
+    pattern = getattr(args, "pattern", None)  # stats cherries has no --pattern
+    print(json.dumps(sample.cherry_statistics(args.n, args.samples, rng, pattern=pattern)))
     return 0
 
 
 def _cmd_oracle(args):
-    if args.unordered and args.list_classes:
+    if args.unordered and args.list:
         raise ValueError("--list does not apply with --unordered")
     reps = oracle.brute_tanglegrams(args.n, args.allow_slow)
     print(oracle.unordered_count(reps) if args.unordered else len(reps))
-    if args.list_classes:
+    if args.list:
         for tg in reps:
             print(json.dumps(tg.to_json()))
     return 0
@@ -217,15 +164,69 @@ def _cmd_table(args):
     return 0
 
 
-_HANDLERS = {
-    "count": _cmd_count,
-    "sample": _cmd_sample,
-    "asym": _cmd_asym,
-    "const": _cmd_const,
-    "stats": _cmd_stats,
-    "oracle": _cmd_oracle,
-    "table": _cmd_table,
+_REQUIRED = object()  # the default of a flag that must be given
+_SWITCH = (None, False)
+_SIZE = (_positive, _REQUIRED)
+_SEED = (_value("an integer", int, lambda v: True), _REQUIRED)
+_SAMPLE_FLAGS = {"--n": _SIZE, "--seed": _SEED, "--count": _SIZE,
+                 "--format": (_value("json|text", str, ("json", "text").__contains__), "json")}
+_STATS_FLAGS = {"--n": _SIZE, "--samples": _SIZE, "--seed": _SEED}
+
+# Each form, by its words, maps to its handler and its flags, and each
+# flag to (converter, default); a flag with no converter is a switch.
+_FORMS = {
+    **{("count", what): (_cmd_count, {
+        **({"--k": _SIZE} if what == "chains" else {}), "--n": _SIZE,
+        "--method": (_value("|".join(routes), str, routes.__contains__), next(iter(routes)))})
+       for what, routes in _COUNT_ROUTES.items()},
+    ("sample", "tanglegram"): (_cmd_sample, _SAMPLE_FLAGS),
+    ("sample", "tree"): (_cmd_sample, _SAMPLE_FLAGS),
+    ("sample", "chain"): (_cmd_sample, {**_SAMPLE_FLAGS, "--k": (_positive, 3)}),
+    ("asym",): (_cmd_asym, {
+        "--n": _SIZE, "--terms": (_value("0|1|2|3|4|5|6", int, range(7).__contains__), _REQUIRED),
+        "--family": (_value("a|b", str, ("a", "b").__contains__), _REQUIRED),
+        "--precision": (_positive, 200)}),
+    ("const", "f-quarter"): (_cmd_const, {"--precision": (_positive, 200)}),
+    ("stats", "cherries"): (_cmd_stats, _STATS_FLAGS),
+    ("stats", "pattern"): (_cmd_stats, {"--pattern": (tree.parse, _REQUIRED), **_STATS_FLAGS}),
+    ("oracle", "tanglegrams"): (_cmd_oracle, {
+        "--n": _SIZE, "--unordered": _SWITCH, "--list": _SWITCH, "--allow-slow": _SWITCH}),
+    ("table", "paper"): (_cmd_table, {}),
 }
+
+
+def _parse(argv):
+    """The namespace of argv's form: its words (cmd, what), its handler
+    and all its flags; raises ValueError on what its usage line forbids."""
+    words = tuple(argv[:2]) if tuple(argv[:2]) in _FORMS else tuple(argv[:1])
+    if words not in _FORMS:
+        raise ValueError("expected a command, not %r; --help lists them" % " ".join(argv[:2]))
+    handler, flags = _FORMS[words]
+    values = {}
+    rest = iter(argv[len(words):])
+    for flag in rest:
+        if flag not in flags:
+            raise ValueError("%r is not a flag of %s" % (flag, " ".join(words)))
+        if flag in values:
+            raise ValueError("%s is given twice" % flag)
+        convert = flags[flag][0]
+        if convert is None:
+            values[flag] = True
+            continue
+        value = next(rest, None)
+        if value is None:
+            raise ValueError("%s needs a value" % flag)
+        try:
+            values[flag] = convert(value)
+        except ValueError as e:
+            raise ValueError("%s: %s" % (flag, e)) from None
+    for flag, (_, default) in flags.items():
+        if flag not in values:
+            if default is _REQUIRED:
+                raise ValueError("%s needs %s" % (" ".join(words), flag))
+            values[flag] = default
+    return SimpleNamespace(cmd=words[0], what=(*words, None)[1], handler=handler,
+                           **{flag[2:].replace("-", "_"): v for flag, v in values.items()})
 
 
 def _size_flag(args):
@@ -237,17 +238,16 @@ def _size_flag(args):
 
 def run(argv):
     """Parse argv (no program name) and execute; returns the exit code."""
-    ap = _build_parser()
+    if "-h" in argv or "--help" in argv:
+        print("\n".join(line[4:] for line in __doc__.split("\n\n")[2].splitlines()))
+        return 0
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as e:
-        return 0 if e.code in (0, None) else int(e.code)
-    try:
+        args = _parse(argv)
         with warnings.catch_warnings():
             # a warning prints as one plain line, as every other message does
             warnings.showwarning = lambda message, *rest: print(
                 "warning: %s" % message, file=sys.stderr)
-            return _HANDLERS[args.cmd](args)
+            return args.handler(args)
     except oracle.CapError as e:
         print("error: %s" % e, file=sys.stderr)
         return 3

@@ -13,5 +13,5 @@ def test_caches_are_bounded():
         for name, obj in vars(module).items():
             if callable(getattr(obj, "cache_info", None)):
                 sizes["%s.%s" % (info.name, name)] = obj.cache_info().maxsize
-    assert {"counting._level_table", "counting._carry", "cli._build_parser"} <= set(sizes)
+    assert {"counting._level_table", "counting._carry"} <= set(sizes)
     assert not [name for name, maxsize in sizes.items() if maxsize is None], sizes

@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -9,8 +11,9 @@ import warnings
 
 import pytest
 
-from tanglekit import oracle
+from tanglekit import cli, oracle
 from tanglekit.cli import print_count, run
+from tanglekit.sample import random_tree
 from tanglekit.tree import parse
 
 from support import child_env, run_python
@@ -57,8 +60,16 @@ def test_count_methods_agree(capsys):
 
 
 def test_usage_errors(capsys):
-    # every bad invocation exits 2 and prints nothing on stdout
+    # every bad invocation exits 2, prints nothing on stdout and one
+    # "usage error: " line on stderr
     bad = [
+        [],
+        ["count", "tanglegrams", "--n"],                      # no value
+        ["count", "tanglegrams", "--n", "x"],
+        ["count", "tanglegrams", "--n", "4", "--n", "5"],     # a flag given twice
+        ["sample", "tree", "--n", "4", "--cou", "1", "--seed", "1"],  # an abbreviated flag
+        ["count", "tanglegrams", "--n=4"],
+        ["asym", "--n", "10", "--terms", "-1", "--family", "a"],
         ["count", "chains", "--n", "4"],                      # missing --k
         ["count", "tanglegrams", "--n", "4", "--method", "oracle"],
         ["count", "trees", "--n", "4", "--method", "mu"],
@@ -84,7 +95,8 @@ def test_usage_errors(capsys):
     ]
     for argv in bad:
         assert run(argv) == 2, argv
-        assert capsys.readouterr().out == ""
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage error: ") and err.count("\n") == 1, (argv, err)
 
 
 def test_overflowing_n_is_a_usage_error(capsys):
@@ -171,6 +183,31 @@ def test_deep_pattern_answers(capsys):
     assert d["mean"] == 0.0 and d["statistic"] == "pattern " + parse(wide).key
 
 
+def usage_lines():
+    """The lines of README's "Command line" block, each without its
+    `tanglekit ` prefix."""
+    with open(README, encoding="utf-8") as f:
+        block = re.search(r"^## Command line\n.*?^```\n(.*?)^```", f.read(), re.M | re.S).group(1)
+    return [line[len("tanglekit "):] for line in block.splitlines()]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["count", "tanglegrams", "-h"]])
+def test_help_prints_the_usage_lines(argv, capsys):
+    assert run(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.splitlines() == usage_lines()
+
+
+def test_every_form_has_a_usage_line():
+    # each form of the parse table has a line in README's block, each
+    # line names a form, and a form's lines show exactly its flags
+    shown = {}
+    for line in usage_lines():
+        words = tuple(itertools.takewhile(lambda w: not w.startswith(("-", "[")), line.split()))
+        shown.setdefault(words, set()).update(re.findall(r"--[a-z-]+", line))
+    assert shown == {words: set(flags) for words, (_, flags) in cli._FORMS.items()}
+
+
 def test_readme_example(capsys):
     # every "$ tanglekit ..." line of README's example block prints
     # exactly the lines shown under it
@@ -254,6 +291,9 @@ def test_sample_tree_json(capsys):
         d = json.loads(line)
         assert list(d) == ["n", "tree"]
         assert parse(d["tree"]).leaves == 5
+    # a value that starts with "-" is still a value
+    assert run(["sample", "tree", "--n", "4", "--seed", "-3", "--count", "1"]) == 0
+    assert out_of(capsys) == json.dumps(random_tree(4, random.Random(-3)).to_json()) + "\n"
 
 
 def test_sample_chain_json(capsys):

@@ -1,10 +1,11 @@
 """Every name a module of the package imports is used in that module,
 every module-level private name is used somewhere in the package, only
 asym.py and oracle.py import rational arithmetic, only asym.py imports
-mpmath and only the commands that print floats load it, brute force and
-its caps stay in oracle.py, which only cli.py and __init__.py import and
-which imports neither the samplers nor the counting routes, each module
-imports alone, and the counting routes stay independent of one another."""
+mpmath and only the commands that print floats load it, the CLI loads
+no argparse, brute force and its caps stay in oracle.py, which only
+cli.py and __init__.py import and which imports neither the samplers
+nor the counting routes, each module imports alone, and the counting
+routes stay independent of one another."""
 
 import ast
 from pathlib import Path
@@ -158,13 +159,14 @@ def test_each_module_imports_alone():
 
 
 def test_cli_loads_mpmath_only_for_floats():
-    # importing the CLI and sampling a tree leave mpmath unloaded;
-    # const, which prints a float, loads it
+    # importing the CLI and sampling a tree leave mpmath and argparse
+    # unloaded; const, which prints a float, loads mpmath
     script = (
         "import sys\n"
         "import tanglekit.cli as cli\n"
         "assert cli.run(['sample', 'tree', '--n', '5', '--seed', '1', '--count', '1']) == 0\n"
         "assert 'mpmath' not in sys.modules, 'sample tree loaded mpmath'\n"
+        "assert 'argparse' not in sys.modules, 'the CLI loaded argparse'\n"
         "assert cli.run(['const', 'f-quarter', '--precision', '64']) == 0\n"
         "assert 'mpmath' in sys.modules\n"
     )
