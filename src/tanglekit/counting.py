@@ -169,9 +169,10 @@ def double_coset_count(T, S):
 # exact division, 2 * rho for the new rho and the two factors of P that
 # drop out, and from m to m + 2 the other way round.
 #
-# level_terms writes that sum out; the table sums it at the one top
-# state, and builds the levels h >= 1 without its big-by-big products.
-# Fix such a level, let N = n0 // 2^h be its largest n, and put
+# level_terms writes that sum out, one big-by-big product per term.  The
+# table builds every state with few such products: each level h >= 1 by
+# one binomial transform, and the top state by groups of small ratios.
+# Fix a level h >= 1, let N = n0 // 2^h be its largest n, and put
 #
 #   f(u) = (2*(n0 - u*2^h) - 1)^k,   S(i) = f(i) * f(i+1) * ... * f(N-1),
 #
@@ -190,16 +191,44 @@ def double_coset_count(T, S):
 # weights that level_terms yields.  A level costs about N^2/2 additions
 # and N exact divisions, and it needs only the level below it, so the
 # table is filled from the deepest level up, by plain loops.
+#
+# The top state comes last.  With m = n0 - 2*rho, its weights are
+# carry_rho * R(1, rho), rho = 0 .. n0 // 2, with R(1, 0) = 1 and
+# carry_0 = ((2*n0 - 1)!!)^k, and each carry is the one before times
+# num_rho / den_rho, num_rho = (m+2)(m+1), den_rho = 2*rho * ((2m+1)(2m+3))^k,
+# two small integers.  The sum starts from the rho = 0 term, carry_0, and
+# takes rho = 1 .. n0 // 2 in groups of _TOP_GROUP, each from c, the
+# carry of the rho just before the group.  Over one group,
+#
+#   sum_rho carry_rho * R(1, rho) = c * W // D,   D = prod den_rho,
+#   W = sum_rho R(1, rho) * prod_(r <= rho) num_r * prod_(r > rho) den_r,
+#
+# with rho, r and both products over the group's rhos.  W is built by
+# Horner's rule from the group's last rho down, each step a bigint times
+# small integers, so a group costs one big-by-big product, c * W, where
+# level_terms pays one per term.  Both divisions
+# by D are exact: c * W // D is a sum of the integer weights level_terms
+# yields, and c * prod num_rho // D is the integer carry of the group's
+# last rho, which the next group starts from.  The sum does not depend
+# on the order of its terms, so the same code serves k = 1, whose walk
+# starts near the mode.
+
+
+_TOP_GROUP = 16  # terms of the top state summed per big-by-big product
 
 
 @lru_cache(maxsize=4)
 def _level_table(k, n0):
     """The (k, n0) table, a dict (h, n) -> R(h, n) = r(h, n) * n! * 2^(h*n)
     holding every state at that one scale: each level h >= 1 one binomial
-    transform of the level below, then the top state (0, n0), the sum of
-    level_terms(k, n0, 0, n0, table), n0! * (2n0-1)^k * t(k, n0).  No
-    entry changes after the table is returned.  The last few tables are
-    kept, so a batch of samples at one size reuses its table.  The one
+    transform of the level below, then the top state (0, n0),
+    n0! * (2n0-1)^k * t(k, n0), the sum of the weights level_terms
+    yields there.  That sum is taken _TOP_GROUP terms at a time, with one
+    big-by-big product and two divisions per group; each division is
+    exact, because its quotient is a sum of integer weights or one
+    integer carry.  No entry changes after the table is returned.  The
+    last few tables are kept, so a batch of samples at one size reuses
+    its table.  The one
     transform list, of the largest level's length, is allocated before
     the loop, so an n0 too large for this machine raises OverflowError
     or MemoryError at once."""
@@ -219,7 +248,19 @@ def _level_table(k, n0):
                 d[i] += d[i + 1]
             d[N - n + 1] = 0  # spent, with no right neighbour left; the next level reads it as 0
             table[(h, n)] = d[0] // S[n]
-    table[(0, n0)] = sum(level_terms(k, n0, 0, n0, table))
+    top = c = _carry(k, n0, 0, n0, n0)  # the rho = 0 term, carry_0 * R(1, 0)
+    last = n0 // 2
+    for g in range(1, last + 1, _TOP_GROUP):
+        w, num, den = 0, 1, 1  # W, and the group's prod num_rho and prod den_rho so far
+        for rho in range(min(g + _TOP_GROUP - 1, last), g - 1, -1):
+            m = n0 - 2 * rho
+            up = (m + 2) * (m + 1)
+            w = (w + table[(1, rho)] * den) * up
+            num *= up
+            den *= 2 * rho * ((2 * m + 1) * (2 * m + 3)) ** k
+        top += c * w // den
+        c = c * num // den
+    table[(0, n0)] = top
     return table
 
 

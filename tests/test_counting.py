@@ -4,6 +4,7 @@ from math import factorial
 import pytest
 
 from tanglekit.counting import (
+    _TOP_GROUP,
     _level_table,
     _power_sum,
     catalan,
@@ -163,9 +164,13 @@ def test_level_transform_against_its_terms():
     # each level h >= 1 is built by one binomial transform; every entry
     # must still be the defining sum of its terms, also past n0 = 40
     # where the Fraction reference grows slow, and at n0 on both sides
-    # of a power of 2, where the number of levels changes
-    for k in (1, 2, 3, 4):
-        for n0 in (64, 127, 128, 200, 255):
+    # of a power of 2, where the number of levels changes.  The top
+    # state sums its n0 // 2 terms after the first in groups of
+    # _TOP_GROUP: no group, one term, a partial last group and an exact
+    # one are each hit
+    G = _TOP_GROUP
+    for k in (1, 2, 3, 4, 5):
+        for n0 in (1, 2, 3, 2 * G - 2, 2 * G + 1, 2 * G + 2, 4 * G + 1, 64, 127, 128, 200, 255):
             table = _level_table(k, n0)
             assert set(table) == {(0, n0)} | {(h, n) for h in range(1, n0.bit_length())
                                               for n in range(1, (n0 >> h) + 1)}, (k, n0)
