@@ -23,6 +23,7 @@ every object; the classical tree recurrence lives in oracle.py.
 """
 
 from functools import lru_cache
+from itertools import chain, zip_longest
 from math import comb, factorial, perm, prod
 
 from .partition import binary_partitions, z_of
@@ -154,7 +155,8 @@ def double_coset_count(T, S):
 # and t(k, n) = r(0, n, 0) / (2n-1)^k.  Every state reached from
 # r(0, n0, 0) has s = n0 - n*2^h, so one table per (k, n0) keyed by
 # (h, n) holds them all, the top state (0, n0) included.  The sampler in
-# sample.py walks the same table top down to draw a cycle type.
+# sample.py walks the same table top down, through level_options, to
+# draw a cycle type.
 #
 # The table holds integers only.  Every state, the top one included,
 # stores R(h, n) = r(h, n) * n! * 2^(h*n).  With rho = (n-m)/2,
@@ -165,11 +167,11 @@ def double_coset_count(T, S):
 # So every entry is the sum of its terms, and chain_count_rec divides
 # R(0, n0) once, by n0! * (2n0-1)^k.  Along one state,
 # P * C(n, 2*rho) * (2*rho-1)!! is carried as one integer, out from the
-# first m of level_m: from m to m - 2 it gains m(m-1) and loses, by
+# first m of level_options: from m to m - 2 it gains m(m-1) and loses, by
 # exact division, 2 * rho for the new rho and the two factors of P that
 # drop out, and from m to m + 2 the other way round.
 #
-# level_terms writes that sum out, one big-by-big product per term.  The
+# level_options writes that sum out, one big-by-big product per term.  The
 # table builds every state with few such products: each level h >= 1 by
 # one binomial transform, and the top state by groups of small ratios.
 # Fix a level h >= 1, let N = n0 // 2^h be its largest n, and put
@@ -188,7 +190,7 @@ def double_coset_count(T, S):
 # sum_j C(t, j) * c_(i+j) in d_i after round t, so d_0 is then
 # R(h, t) * S(t).  The division by S(t) is exact: the left side is an
 # integer multiple of S(t), because R(h, t) is a sum of the integer
-# weights that level_terms yields.  A level costs about N^2/2 additions
+# weights that level_options gives.  A level costs about N^2/2 additions
 # and N exact divisions, and it needs only the level below it, so the
 # table is filled from the deepest level up, by plain loops.
 #
@@ -206,12 +208,12 @@ def double_coset_count(T, S):
 # with rho, r and both products over the group's rhos.  W is built by
 # Horner's rule from the group's last rho down, each step a bigint times
 # small integers, so a group costs one big-by-big product, c * W, where
-# level_terms pays one per term.  Both divisions
-# by D are exact: c * W // D is a sum of the integer weights level_terms
-# yields, and c * prod num_rho // D is the integer carry of the group's
-# last rho, which the next group starts from.  The sum does not depend
-# on the order of its terms, so the same code serves k = 1, whose walk
-# starts near the mode.
+# level_options pays one per term.  Both divisions by D are exact:
+# c * W // D is a sum of the integer weights level_options gives, and
+# c * prod num_rho // D is the integer carry of the group's last rho,
+# which the next group starts from.  The sum does not depend on the
+# order of its terms, so the same code serves k = 1, whose walk starts
+# near the mode.
 
 
 _TOP_GROUP = 16  # terms of the top state summed per big-by-big product
@@ -222,16 +224,15 @@ def _level_table(k, n0):
     """The (k, n0) table, a dict (h, n) -> R(h, n) = r(h, n) * n! * 2^(h*n)
     holding every state at that one scale: each level h >= 1 one binomial
     transform of the level below, then the top state (0, n0),
-    n0! * (2n0-1)^k * t(k, n0), the sum of the weights level_terms
-    yields there.  That sum is taken _TOP_GROUP terms at a time, with one
+    n0! * (2n0-1)^k * t(k, n0), the sum of the weights level_options
+    gives there.  That sum is taken _TOP_GROUP terms at a time, with one
     big-by-big product and two divisions per group; each division is
     exact, because its quotient is a sum of integer weights or one
     integer carry.  No entry changes after the table is returned.  The
     last few tables are kept, so a batch of samples at one size reuses
-    its table.  The one
-    transform list, of the largest level's length, is allocated before
-    the loop, so an n0 too large for this machine raises OverflowError
-    or MemoryError at once."""
+    its table.  The one transform list, of the largest level's length,
+    is allocated before the loop, so an n0 too large for this machine
+    raises OverflowError or MemoryError at once."""
     table = {}
     d = [0] * (n0 // 2 + 1)  # c_0 .. c_N of a level, the odd ones and the spent ones 0
     for h in range(n0.bit_length() - 1, 0, -1):
@@ -264,20 +265,6 @@ def _level_table(k, n0):
     return table
 
 
-def level_m(k, n0, h, n, j):
-    """The j-th number m of parts, j = 0 .. n // 2, that level_terms
-    weighs at the state (h, n) of the (k, n0) recurrence: from an m0 near
-    the mode outward, one step up and one down in turn while both sides
-    last.  m0 = n for k >= 2; for k = 1 the mode moves from 0.63 * n at
-    the top state toward n as the level empties, and m0 follows it.  Any
-    fixed order keeps a draw exact; this one lets it read few weights."""
-    m0 = n - 2 * (37 * n * (n << h) // (200 * n0)) if k == 1 and n else n
-    both = min(m0, n - m0) // 2  # steps taken on each side in turn
-    if j <= 2 * both:
-        return m0 + j + 1 if j % 2 else m0 - j
-    return m0 - 2 * (j - both) if m0 > n - m0 else m0 + 2 * (j - both)
-
-
 @lru_cache(maxsize=64)
 def _carry(k, n0, h, n, m):
     """P(h, m) * C(n, m) * (n - m - 1)!! at the state (h, n).  The last
@@ -288,26 +275,40 @@ def _carry(k, n0, h, n, m):
             * comb(n, m) * prod(range(1, n - m, 2)))
 
 
-def level_terms(k, n0, h, n, table):
-    """Yield the integer weight of each admissible number m of parts of
-    size 2^h at the state (h, n) of the (k, n0) recurrence, the j-th for
-    m = level_m(k, n0, h, n, j), each one term of the step above.  The
-    entries of the next level down are read from table, which must hold
-    them; the weights sum to R(h, n) = _level_table(k, n0)[(h, n)]."""
-    step = 1 << h
-    a = 2 * (n0 - n * step) - 1  # the u-th factor of P(h, m) is (a + 2*u*2^h)^k
-    m0 = level_m(k, n0, h, n, 0)
-    hi = lo = _carry(k, n0, h, n, m0)
-    for j in range(n // 2 + 1):
-        m = level_m(k, n0, h, n, j)
-        rho = (n - m) // 2
-        if m > m0:  # from m - 2: the factors m - 1 and m join P
-            f = (a + 2 * (m - 1) * step) * (a + 2 * m * step)
-            hi = hi * (2 * rho + 2) * f ** k // (m * (m - 1))
-        elif m < m0:  # from m + 2: the factors m + 1 and m + 2 leave P
-            f = (a + 2 * (m + 1) * step) * (a + 2 * (m + 2) * step)
-            lo = lo * ((m + 2) * (m + 1)) // (2 * rho * f ** k)
-        yield ((hi if m > m0 else lo) << h * rho) * (table[(h + 1, rho)] if rho else 1)
+def level_options(k, n0, h, n):
+    """R(h, n) at the state (h, n) of the (k, n0) recurrence, and an
+    iterator of (m, weight) over the admissible numbers m of parts of
+    size 2^h there, each weight one integer term of the step above, so
+    the weights sum to R(h, n).  The options run from an m0 near the
+    mode outward, one step up and one down in turn while both sides
+    last.  m0 = n for k >= 2; for k = 1 the mode moves from 0.63 * n at
+    the top state toward n as the level empties, and m0 follows it.  Any
+    fixed order keeps a draw exact; this one lets it read few weights,
+    which are made as they are read.  The table holds no empty state:
+    at n = 0 the total is 1 and the one option is (0, 1)."""
+    if not n:
+        return 1, iter(((0, 1),))
+    table = _level_table(k, n0)
+    m0 = n - 2 * (37 * n * (n << h) // (200 * n0)) if k == 1 else n
+
+    def options():
+        step = 1 << h
+        a = 2 * (n0 - n * step) - 1  # the u-th factor of P(h, m) is (a + 2*u*2^h)^k
+        hi = lo = _carry(k, n0, h, n, m0)
+        outward = zip_longest(range(m0 + 2, n + 1, 2), range(m0 - 2, -1, -2))
+        for m in chain((m0,), chain.from_iterable(outward)):
+            if m is None:  # one side has run out
+                continue
+            rho = (n - m) // 2
+            if m > m0:  # from m - 2: the factors m - 1 and m join P
+                f = (a + 2 * (m - 1) * step) * (a + 2 * m * step)
+                hi = hi * (2 * rho + 2) * f ** k // (m * (m - 1))
+            elif m < m0:  # from m + 2: the factors m + 1 and m + 2 leave P
+                f = (a + 2 * (m + 1) * step) * (a + 2 * (m + 2) * step)
+                lo = lo * ((m + 2) * (m + 1)) // (2 * rho * f ** k)
+            yield m, ((hi if m > m0 else lo) << h * rho) * (table[(h + 1, rho)] if rho else 1)
+
+    return table[(h, n)], options()
 
 
 @lru_cache(maxsize=4)

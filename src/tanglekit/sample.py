@@ -20,7 +20,7 @@ an owned random.Random-like object with randrange and shuffle.  The
 chain and tanglegram values returned are defined in tree.py.
 """
 
-from .counting import _level_table, level_m, level_terms
+from .counting import level_options
 from .partition import q_numerator, split_pairs, z_of
 from .perm import interleave, sample_conjugator
 from .tree import LEAF, Tanglegram, TangledChain, count_occurrences, fold, node, symmetry_count
@@ -43,17 +43,17 @@ def random_automorphism(t, rng):
     return fold(t, (1,), join)
 
 
-def _pick_scan(weights, total, rng):
-    """Index of an option drawn from the integer weights, an iterable
-    that sums to total: option j with probability weights[j] / total,
-    by one randrange(total), which is exact.  The weights are read in
-    order, and only up to the option drawn.  This is the sampler's one
-    weighted draw, and the lam walk its one caller."""
+def _pick_scan(options, total, rng):
+    """One option of options, an iterable of (option, integer weight)
+    pairs whose weights sum to total, drawn with probability
+    weight / total by one randrange(total), which is exact.  The pairs
+    are read in order, and only up to the one drawn.  This is the
+    sampler's one weighted draw, and the lam walk its one caller."""
     x = rng.randrange(total)
-    for j, w in enumerate(weights):
+    for option, w in options:
         x -= w
         if x < 0:
-            return j
+            return option
 
 
 def q_of(parts):
@@ -226,25 +226,24 @@ def random_tree_and_perm(parts, rng):
 # The draw of lam walks the level recurrence of counting.py top down,
 # the recursive method of Nijenhuis and Wilf.  At the state (h, n') of
 # the (k, n) table, n' units of size 2^h are left to place; the walk
-# takes the j-th number m of parts that level_m gives with the j-th
-# weight that level_terms yields, by _pick_scan over their total
-# R(h, n').  At n' = 1 the one option m = 1 takes no draw.  The step
-# probabilities multiply to z(lam)^(k-1) * q(lam)^k / t(k, n).  The
-# weights are made as the scan reads them, from near the mode, and none
-# is kept: at k = 2 lam = (1^n) carries about 88% of the mass, so most
-# draws read one weight; at k = 1, n = 1000 a draw reads about 27.
+# draws the number m of parts by _pick_scan over the (m, weight) options
+# and their total R(h, n') that level_options gives.  At n' = 1 the one
+# option m = 1 takes no draw.  The step probabilities multiply to
+# z(lam)^(k-1) * q(lam)^k / t(k, n).  The weights are made as the scan
+# reads them, from near the mode, and none is kept: at k = 2 lam = (1^n)
+# carries about 88% of the mass, so most draws read one weight; at
+# k = 1, n = 1000 a draw reads about 25.
 
 def _draw_lam(n, k, rng):
     """A binary partition of n drawn with probability
     z^(k-1) * q^k / t(k, n)."""
-    table = _level_table(k, n)
     parts = []
     h, units = 0, n
     while units:
         m = 1
         if units > 1:
-            j = _pick_scan(level_terms(k, n, h, units, table), table[(h, units)], rng)
-            m = level_m(k, n, h, units, j)
+            total, options = level_options(k, n, h, units)
+            m = _pick_scan(options, total, rng)
         parts += [1 << h] * m
         units = (units - m) // 2
         h += 1

@@ -12,8 +12,9 @@ class Replay:
     """Stands in for the rng, and through it for sample._pick_scan:
     each draw takes the branch that the path names, or the first
     possible branch past the path's end.  A uniform draw records only
-    its number of branches, a weighted one its integer weights.
-    shuffle is Fisher-Yates on randrange."""
+    its number of branches, a weighted one its integer weights, and
+    returns the option of the branch taken.  shuffle is Fisher-Yates
+    on randrange."""
 
     def __init__(self, path):
         self.path = path
@@ -26,10 +27,11 @@ class Replay:
             self.path.append(0 if type(draw) is int else next(j for j, w in enumerate(draw) if w))
         return self.path[i]
 
-    def pick_scan(self, weights, total):
-        weights = list(weights)
+    def pick_scan(self, options, total):
+        options = list(options)
+        weights = [w for _, w in options]
         assert sum(weights) == total
-        return self._branch(weights)
+        return options[self._branch(weights)][0]
 
     def randrange(self, n):
         return self._branch(n)
@@ -46,7 +48,7 @@ def exact_distribution(draw, monkeypatch):
     path's probability, one Fraction of the products of the branch
     weights taken and of the branch totals."""
     monkeypatch.setattr(sample, "_pick_scan",
-                        lambda weights, total, rng: rng.pick_scan(weights, total))
+                        lambda options, total, rng: rng.pick_scan(options, total))
     out = {}
     path = []
     while True:

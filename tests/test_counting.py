@@ -11,7 +11,7 @@ from tanglekit.counting import (
     chain_count,
     chain_count_rec,
     double_coset_count,
-    level_terms,
+    level_options,
     tanglegram_count,
     tanglegram_count_mu,
     tanglegram_count_rec,
@@ -97,15 +97,22 @@ def test_tree_oracle():
     assert [tree_count_oracle(n) for n in range(1, 13)] == B_SEQ
 
 
+def weights(k, n0, h, n):
+    """The weights of the options of the state (h, n) of the (k, n0)
+    table, in order."""
+    return [w for _, w in level_options(k, n0, h, n)[1]]
+
+
 def test_recurrence_internals():
     # the terms of the state (h, n) of the (k, n0) table sum to
     # R(h, n) = r(h, n, n0 - n*2^h) * n! * 2^(h*n) for chain length k:
     # 1 * 0! * 2^0 in the base case, and r(0, n0) * n0! at the top state
     for h in range(5):
         for n0 in (0, 3, 12):
-            assert list(level_terms(2, n0, h, 0, _level_table(2, n0))) == [1]
-    assert sum(level_terms(2, 4, 0, 4, _level_table(2, 4))) == 637 * factorial(4) == 15288
-    assert sum(level_terms(3, 3, 0, 3, _level_table(3, 3))) == 625 * factorial(3)
+            total, options = level_options(2, n0, h, 0)
+            assert total == 1 and list(options) == [(0, 1)], (n0, h)
+    assert sum(weights(2, 4, 0, 4)) == 637 * factorial(4) == 15288
+    assert sum(weights(3, 3, 0, 3)) == 625 * factorial(3)
     # one table per (k, n0), keyed by (h, n), holding every state; the
     # count divides the top state
     table = _level_table(2, 4)
@@ -114,8 +121,10 @@ def test_recurrence_internals():
     assert chain_count_rec(2, 4) == 637 // 7 ** 2 == 13
     # largest m first, m = 4, 2, 0 ones: P(0, m) * C(4, 2*rho) * (2*rho-1)!!,
     # times R(1, rho)
-    assert list(level_terms(2, 4, 0, 4, table)) == [
-        (1 * 3 * 5 * 7) ** 2, 3 ** 2 * 6 * 7 ** 2, 3 * 539] == [11025, 2646, 1617]
+    total, options = level_options(2, 4, 0, 4)
+    assert total == 15288
+    assert list(options) == [(4, (1 * 3 * 5 * 7) ** 2), (2, 3 ** 2 * 6 * 7 ** 2), (0, 3 * 539)] \
+        == [(4, 11025), (2, 2646), (0, 1617)]
 
 
 def reference_level_r(k, n0):
@@ -146,7 +155,8 @@ def reference_level_r(k, n0):
 
 def test_level_table_against_fractions():
     # every state, the top one included, holds r * n! * 2^(h*n),
-    # the sum of its terms, and every term of every state is an int
+    # the sum of its terms, every term of every state is an int, and
+    # every m of n's parity from 0 to n is an option exactly once
     for k in (1, 2, 3):
         for n0 in range(1, 40):
             table = _level_table(k, n0)
@@ -154,9 +164,11 @@ def test_level_table_against_fractions():
             assert set(table) == set(ref), (k, n0)
             for (h, n), r in ref.items():
                 want = r * factorial(n) * 2 ** (h * n)
-                weights = list(level_terms(k, n0, h, n, table))
-                assert all(type(w) is int for w in weights)
-                assert sum(weights) == want, (k, n0, h, n)
+                total, options = level_options(k, n0, h, n)
+                options = list(options)
+                assert all(type(w) is int for _, w in options)
+                assert sum(w for _, w in options) == total == want, (k, n0, h, n)
+                assert sorted(m for m, _ in options) == list(range(n % 2, n + 1, 2)), (k, n0, h, n)
                 assert type(table[(h, n)]) is int and table[(h, n)] == want, (k, n0, h, n)
 
 
@@ -175,7 +187,7 @@ def test_level_transform_against_its_terms():
             assert set(table) == {(0, n0)} | {(h, n) for h in range(1, n0.bit_length())
                                               for n in range(1, (n0 >> h) + 1)}, (k, n0)
             for (h, n), r in table.items():
-                assert r == sum(level_terms(k, n0, h, n, table)), (k, n0, h, n)
+                assert r == sum(weights(k, n0, h, n)), (k, n0, h, n)
             # the top state is the direct sum's integer, which reads no table
             assert table[(0, n0)] == _power_sum(n0, k), (k, n0)
 

@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used in that module,
-every module-level private name is used somewhere in the package, only
+every module-level private name is used somewhere in the package, no
+module imports a private name from another module of the package, only
 asym.py and oracle.py import rational arithmetic, only asym.py imports
 mpmath and only the commands that print floats load it, the CLI loads
 no argparse, brute force and its caps stay in oracle.py, which only
@@ -78,6 +79,29 @@ def test_no_unused_private_names():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     found = unused_private_names(sources)
     assert not found, "unused private names: " + ", ".join("%s:%s" % key for key in found)
+
+
+def private_imports(source):
+    """The _-prefixed names that `source` imports from a module of the
+    package, by a relative import or one from tanglekit."""
+    return sorted(alias.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.level or (node.module or "").split(".")[0] == "tanglekit")
+                  for alias in node.names
+                  if alias.name.startswith("_") and not alias.name.startswith("__"))
+
+
+def test_private_import_detector():
+    source = ("from .a import _x, y\nfrom tanglekit.b import _z\nfrom os import _exit\n"
+              "from . import _w\nfrom .c import __version__\n")
+    assert private_imports(source) == ["_w", "_x", "_z"]
+
+
+def test_no_private_imports_across_modules():
+    # a module reads another's internals only through its public names
+    found = ["%s: %s" % (path.name, name) for path in sorted(SRC.glob("*.py"))
+             for name in private_imports(path.read_text())]
+    assert not found, "private imports: " + ", ".join(found)
 
 
 def imported_names(source):
@@ -187,12 +211,12 @@ def test_counting_routes_are_independent():
     # recurrence never lists partitions, so their agreement is a check
     names = names_in_functions((SRC / "counting.py").read_text())
     for route in ("_power_sum", "chain_count", "tanglegram_count_mu"):
-        assert not names[route] & {"level_terms", "_level_table", "chain_count_rec"}, route
-    for route in ("_level_table", "level_terms", "chain_count_rec"):
+        assert not names[route] & {"level_options", "_level_table", "chain_count_rec"}, route
+    for route in ("_level_table", "level_options", "chain_count_rec"):
         assert not names[route] & {"_power_sum", "chain_count", "binary_partitions"}, route
     # the oracle tree route reads neither the level table nor the partitions
     oracle_names = names_in_functions((SRC / "oracle.py").read_text())["tree_count_oracle"]
-    assert not oracle_names & {"level_terms", "_level_table", "chain_count_rec",
+    assert not oracle_names & {"level_options", "_level_table", "chain_count_rec",
                                "_power_sum", "binary_partitions"}
     # the direct and mu sums each fold a tail of 2s, in code of their own
     assert not names["tanglegram_count_mu"] & {"_power_sum", "chain_count", "tanglegram_count"}

@@ -11,8 +11,6 @@ from tanglekit.counting import (
     _level_table,
     chain_count,
     chain_count_rec,
-    level_m,
-    level_terms,
     tanglegram_count,
     tree_count,
 )
@@ -133,7 +131,7 @@ def test_random_tree_is_a_loop():
 
 def test_pick_scan_exact():
     # each x that randrange can return lands on option j for exactly
-    # w_j values of x, and the scan reads no weight past the one drawn
+    # w_j values of x, and the scan reads no pair past the one drawn
     class Fixed:
         def __init__(self, x, total):
             self.x, self.total = x, total
@@ -146,7 +144,7 @@ def test_pick_scan_exact():
         total = sum(weights)
         hits = Counter()
         for x in range(total):
-            it = iter(weights)
+            it = enumerate(weights)
             j = sample._pick_scan(it, total, Fixed(x, total))
             assert len(list(it)) == len(weights) - j - 1, (weights, x)
             hits[j] += 1
@@ -186,36 +184,16 @@ def test_tree_and_perm_consistency():
 
 # ---------------------------------------------------------------- lam draw
 
-def _lam_walk(k, n):
-    """Exact distribution of the lam draw: every branch of the level
-    walk, with the probability its integer weights give it."""
-    out = {}
-    table = _level_table(k, n)
-
-    def rec(h, units, parts, p):
-        if not units:
-            lam = tuple(sorted(parts, reverse=True))
-            out[lam] = out.get(lam, 0) + p
-            return
-        weights = list(level_terms(k, n, h, units, table))
-        total = table[(h, units)]
-        assert total == sum(weights)
-        for j, w in enumerate(weights):
-            m = level_m(k, n, h, units, j)
-            rec(h + 1, (units - m) // 2, parts + [1 << h] * m, p * Fraction(w, total))
-
-    rec(0, n, [], Fraction(1))
-    return out
-
-
-def test_lam_draw_exact():
-    # each binary partition gets exactly z^(k-1) q^k / t(k, n)
+def test_lam_draw_exact(monkeypatch):
+    # each binary partition gets exactly z^(k-1) q^k / t(k, n), by the
+    # replay of every path of the draw
     for k in (1, 2, 3):
         for n in range(1, 17):
             t = chain_count(k, n)
             want = {lam: z_of(lam) ** (k - 1) * q_of(lam) ** k / t
                     for lam in binary_partitions(n)}
-            assert _lam_walk(k, n) == want, (k, n)
+            got = exact_distribution(lambda r: sample._draw_lam(n, k, r), monkeypatch)
+            assert got == want, (k, n)
 
 
 def test_level_table_holds_every_state():
@@ -241,17 +219,17 @@ def test_lam_draw_reads_weights_lazily(monkeypatch):
     read = []
     pick_scan = sample._pick_scan
 
-    def counting_scan(weights, total, rng):
+    def counting_scan(options, total, rng):
         seen = []
 
         def counted():
-            for w in weights:
-                seen.append(w)
-                yield w
+            for option in options:
+                seen.append(option)
+                yield option
 
-        j = pick_scan(counted(), total, rng)
+        m = pick_scan(counted(), total, rng)
         read.append(len(seen))
-        return j
+        return m
 
     monkeypatch.setattr(sample, "_pick_scan", counting_scan)
     rng = random.Random(42)
